@@ -84,11 +84,17 @@ class PairwiseKeyScheme(KeyManagementScheme):
             raise CryptoError("node_count must be >= 0")
         self.node_count = node_count
         self._seed = seed
+        #: derived keys by normalised pair, filled on first request.
+        self._keys: Dict[Tuple[int, int], bytes] = {}
 
     def link_key(self, a: int, b: int) -> bytes:
-        lo, hi = self._normalize(a, b)
-        self._check(lo, hi)
-        return _derive_key("pairwise", self._seed, lo, hi)
+        pair = self._normalize(a, b)
+        key = self._keys.get(pair)
+        if key is None:
+            lo, hi = pair
+            self._check(lo, hi)
+            key = self._keys[pair] = _derive_key("pairwise", self._seed, lo, hi)
+        return key
 
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         lo, hi = self._normalize(a, b)
@@ -113,10 +119,11 @@ class GlobalKeyScheme(KeyManagementScheme):
         self.node_count = node_count
         self._seed = seed
         self._all = frozenset(range(node_count))
+        self._key = _derive_key("global", seed)
 
     def link_key(self, a: int, b: int) -> bytes:
         self._normalize(a, b)
-        return _derive_key("global", self._seed)
+        return self._key
 
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         self._normalize(a, b)
@@ -164,6 +171,9 @@ class RandomPredistributionScheme(KeyManagementScheme):
         for node_id, ring in enumerate(self._rings):
             for key_id in ring:
                 self._holders_by_key.setdefault(key_id, set()).add(node_id)
+        #: derived link keys by normalised pair, filled on first
+        #: request; ``None`` memoises "no shared key".
+        self._keys: Dict[Tuple[int, int], Optional[bytes]] = {}
 
     def ring(self, node_id: int) -> FrozenSet[int]:
         """Return the key-id ring assigned to ``node_id``."""
@@ -178,10 +188,19 @@ class RandomPredistributionScheme(KeyManagementScheme):
         return self._rings[lo] & self._rings[hi]
 
     def link_key(self, a: int, b: int) -> bytes:
-        shared = self.shared_key_ids(a, b)
-        if not shared:
+        pair = self._normalize(a, b)
+        if pair in self._keys:
+            key = self._keys[pair]
+        else:
+            shared = self.shared_key_ids(a, b)
+            key = self._keys[pair] = (
+                _derive_key("eg-pool", self._seed, min(shared))
+                if shared
+                else None
+            )
+        if key is None:
             raise KeyNotFoundError(f"nodes {a} and {b} share no ring key")
-        return _derive_key("eg-pool", self._seed, min(shared))
+        return key
 
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         shared = self.shared_key_ids(a, b)

@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from contextlib import nullcontext
 
@@ -147,13 +147,13 @@ def run_benchmarks(
         )
         with timer:
             for _ in range(repeats):
+                # Peak RSS of this repeat alone, so the scale macros
+                # gate memory as well as throughput.
+                reset = _reset_peak_rss()
                 result = bench.fn(quick)
-                # Peak RSS observed by the end of this repeat, so the
-                # scale macros gate memory as well as throughput.  The
-                # kernel counter is a process-wide high-water mark
-                # (monotonic), so order the memory-hungry benchmarks
-                # last or read the first benchmark's value as its own.
-                result.detail["peak_rss_mb"] = round(_peak_rss_mb(), 1)
+                peak, source = _peak_rss_mb(reset)
+                result.detail["peak_rss_mb"] = round(peak, 1)
+                result.detail["peak_rss_source"] = source
                 if best is None or result.value > best.value:
                     best = result
         assert best is not None
@@ -161,15 +161,40 @@ def run_benchmarks(
     return results
 
 
-def _peak_rss_mb() -> float:
-    """Process peak resident set size in MiB (``getrusage`` high-water).
+def _reset_peak_rss() -> bool:
+    """Reset the kernel's peak-RSS mark (``VmHWM``) to the current RSS.
 
-    Linux reports ``ru_maxrss`` in KiB, macOS in bytes.
+    Linux only: writing ``5`` to ``/proc/self/clear_refs`` resets it.
+    Returns False where that file is unavailable.
     """
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
+def _peak_rss_mb(reset: bool) -> Tuple[float, str]:
+    """Peak resident set size in MiB, and the source it was read from.
+
+    After a successful :func:`_reset_peak_rss` this is ``VmHWM`` from
+    ``/proc/self/status``: the peak since the reset.  Otherwise it is
+    the ``getrusage`` high-water mark of the whole process (Linux
+    reports ``ru_maxrss`` in KiB, macOS in bytes).
+    """
+    if reset:
+        try:
+            with open("/proc/self/status") as handle:
+                for line in handle:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1]) / 1024.0, "vmhwm"
+        except OSError:
+            pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
+        return peak / (1024.0 * 1024.0), "getrusage"
+    return peak / 1024.0, "getrusage"
 
 
 def collect_environment() -> Dict[str, object]:

@@ -7,7 +7,7 @@ results off their node objects and the trace collector.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Set
 
 import numpy as np
 
@@ -72,6 +72,17 @@ class Network:
         self.streams = streams if streams is not None else RngStreams(seed)
         self.engine = EventEngine()
         self.trace = TraceCollector(keep_frames=keep_frames, detail=trace_detail)
+        self._mac_config = mac_config if mac_config is not None else MacConfig()
+        self._macs: Dict[int, CsmaMac] = {}
+        #: ids of the fail-stopped nodes; kept by Node.kill/revive.
+        self.down: Set[int] = set()
+        factory = node_factory if node_factory is not None else Node
+        self.nodes: Dict[int, Node] = {
+            node_id: factory(node_id, self)
+            for node_id in range(topology.node_count)
+        }
+        # Built after the nodes so the radio dispatches overheard
+        # unicast frames only to nodes whose class handles them.
         self.radio = RadioMedium(
             engine=self.engine,
             topology=topology,
@@ -80,15 +91,13 @@ class Network:
             rng=self.streams.get("radio"),
             config=radio_config,
             notify_sender=self._notify_sender,
-            node_alive=self._node_alive,
+            overhearers=[
+                node_id
+                for node_id, node in self.nodes.items()
+                if type(node).on_overhear is not Node.on_overhear
+            ],
         )
-        self._mac_config = mac_config if mac_config is not None else MacConfig()
-        self._macs: Dict[int, CsmaMac] = {}
-        factory = node_factory if node_factory is not None else Node
-        self.nodes: Dict[int, Node] = {
-            node_id: factory(node_id, self)
-            for node_id in range(topology.node_count)
-        }
+        self._sync_liveness_hook()
         self.injector = None
         #: last absolute counter values harvested into a metrics
         #: registry; lets repeated run() calls report deltas only.
@@ -134,8 +143,24 @@ class Network:
         self.mac(message.src).transmission_result(message, delivered)
 
     def _node_alive(self, node_id: int) -> bool:
-        node = self.nodes.get(node_id)
-        return node is None or node.alive
+        return node_id not in self.down
+
+    def _set_down(self, node_id: int, down: bool) -> None:
+        """Record a node's liveness (called by :meth:`Node.kill`/``revive``)."""
+        if down:
+            self.down.add(node_id)
+        else:
+            self.down.discard(node_id)
+        # A node factory may kill its node before the radio exists;
+        # __init__ syncs the hook once the radio is built.
+        if hasattr(self, "radio"):
+            self._sync_liveness_hook()
+
+    def _sync_liveness_hook(self) -> None:
+        # Probing liveness per receiver is needed only while some node
+        # is down; with the hook cleared the radio's "nothing can drop"
+        # shortcuts apply.
+        self.radio.node_alive = self._node_alive if self.down else None
 
     # ------------------------------------------------------------------
     # Fault entry points (used by the fault injector and tests)

@@ -29,7 +29,9 @@ class Node:
     (frames addressed to this node, including broadcasts) and
     :meth:`on_overhear` (unicast frames this node merely heard —
     relevant to eavesdropping and to the paper's two-colour HELLO
-    consistency check).
+    consistency check).  The network dispatches overheard frames only
+    to nodes whose class overrides :meth:`on_overhear`, decided once
+    when it is built.
     """
 
     def __init__(self, node_id: int, network: "Network"):
@@ -82,6 +84,7 @@ class Node:
     def kill(self) -> None:
         """Fail-stop this node: it stops sending and reacting."""
         self.alive = False
+        self.network._set_down(self.id, True)
 
     def revive(self) -> None:
         """Recover from a fail-stop (churn): the node reacts again.
@@ -91,6 +94,7 @@ class Node:
         misses its schedule.
         """
         self.alive = True
+        self.network._set_down(self.id, False)
 
     # ------------------------------------------------------------------
     # Hooks

@@ -10,9 +10,12 @@ for controlled experiments; both mechanisms can be disabled to get a
 perfect channel for unit tests.
 
 Because the medium is shared, every neighbour of a sender *hears* every
-frame — unicast frames are delivered only to their addressee but are
-recorded as overheard, which is exactly the surface the eavesdropping
-attack (Section II-C) exploits.
+frame, which is exactly the surface the eavesdropping attack (Section
+II-C) exploits.  Unicast frames are delivered only to their addressee.
+Each bystander's reception is still physical (it can be ruined or
+dropped, and it is billed), but its overheard copy is dispatched only
+when the bystander is in the ``overhearers`` set: the network passes
+the nodes whose class handles overheard frames.
 
 Hot-path notes: neighbour iteration order must be sorted (it fixes the
 RNG draw order and therefore byte-for-byte reproducibility), so the
@@ -36,7 +39,7 @@ retained legacy resolver (``_force_legacy_collisions``) side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -191,8 +194,9 @@ class RadioMedium:
         Byte/frame accounting sink.
     deliver:
         Callback ``deliver(receiver_id, message, addressed)`` invoked at
-        end-of-frame for every successful reception.  ``addressed`` is
-        False for overheard unicast frames.
+        end-of-frame for every successful reception that is dispatched
+        (see ``overhearers``).  ``addressed`` is False for overheard
+        unicast frames.
     notify_sender:
         Callback ``notify_sender(message, delivered)`` invoked at
         end-of-frame, telling the sender's MAC whether the addressee
@@ -200,6 +204,14 @@ class RadioMedium:
         always report ``delivered=True``.
     rng:
         Generator used for Bernoulli losses.
+    node_alive:
+        Initial value of the :attr:`node_alive` hook.
+    overhearers:
+        Ids of the bystanders whose decoded copies of unicast frames are
+        dispatched (``deliver(..., addressed=False)``); the addressee
+        always is.  ``None`` (the default) means every node.  Bystanders
+        outside the set still receive physically: their drops are
+        recorded and their reception is billed.
     """
 
     def __init__(
@@ -212,6 +224,7 @@ class RadioMedium:
         config: Optional[RadioConfig] = None,
         notify_sender: Optional[NotifySenderFn] = None,
         node_alive: Optional[NodeAliveFn] = None,
+        overhearers: Optional[Iterable[int]] = None,
     ):
         self.engine = engine
         self.topology = topology
@@ -244,7 +257,14 @@ class RadioMedium:
         self._active_receptions: Dict[int, List[Reception]] = {}
         #: optional per-link loss process installed by the fault layer.
         self.loss_model: Optional[LossModelFn] = None
-        self._node_alive = node_alive
+        #: optional liveness probe; ``None`` means every node is up, so
+        #: end-of-frame resolution skips the per-receiver probes.
+        self.node_alive: Optional[NodeAliveFn] = node_alive
+        #: bystanders whose overheard unicast copies are dispatched
+        #: (``None``: every node).
+        self.overhearers: Optional[frozenset] = (
+            None if overhearers is None else frozenset(overhearers)
+        )
         #: sorted neighbour tuples, keyed on Topology.version (sorted
         #: order fixes the per-frame RNG draw order).
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
@@ -558,7 +578,7 @@ class RadioMedium:
         trace = self.trace
         dst = message.dst
         is_broadcast = message.is_broadcast
-        node_alive = self._node_alive
+        node_alive = self.node_alive
         loss_model = self.loss_model
         loss_p = self.config.loss_probability
 
@@ -573,7 +593,6 @@ class RadioMedium:
             self._record_deliveries(
                 message,
                 record,
-                receivers,
                 receivers,
                 is_broadcast,
                 dst,
@@ -600,7 +619,6 @@ class RadioMedium:
             self._record_deliveries(
                 message,
                 record,
-                receivers,
                 (),
                 is_broadcast,
                 dst,
@@ -667,7 +685,6 @@ class RadioMedium:
         self._record_deliveries(
             message,
             record,
-            receivers,
             [receivers[slot] for slot in np.flatnonzero(code == _RUIN_NONE)],
             is_broadcast,
             dst,
@@ -678,7 +695,6 @@ class RadioMedium:
         self,
         message: Message,
         record: Optional[FrameRecord],
-        receivers: Tuple[int, ...],
         delivered,
         is_broadcast: bool,
         dst: int,
@@ -689,7 +705,10 @@ class RadioMedium:
         ``delivered`` is the decoded subset in receiver order;
         ``addressee_decoded`` the unicast ACK outcome (``None`` when the
         addressee is out of radio range — recorded as NO_RECEIVER);
-        broadcasts always acknowledge.
+        broadcasts always acknowledge.  A decoded unicast frame is
+        dispatched to its addressee and to the bystanders in
+        :attr:`overhearers`, in receiver order — the rule the legacy
+        :meth:`_conclude_reception` applies per reception.
         """
         trace = self.trace
         deliver = self._deliver
@@ -700,11 +719,13 @@ class RadioMedium:
             if self._notify_sender is not None:
                 self._notify_sender(message, True)
             return
+        overhearers = self.overhearers
         for receiver in delivered:
-            addressed = receiver == dst
-            if addressed:
+            if receiver == dst:
                 trace.record_delivery(record, message, receiver)
-            deliver(receiver, message, addressed)
+                deliver(receiver, message, True)
+            elif overhearers is None or receiver in overhearers:
+                deliver(receiver, message, False)
         if addressee_decoded is None:
             # Unicast to a node outside radio range: nobody to decode it.
             trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
@@ -794,7 +815,7 @@ class RadioMedium:
         # one ending `now`) and liveness only changes through
         # scheduled fault events, never mid-event.
         loss_p = self.config.loss_probability
-        node_alive = self._node_alive
+        node_alive = self.node_alive
         eligible = None
         draws = None
         if loss_p > 0.0 and receptions:
@@ -875,32 +896,23 @@ class RadioMedium:
         dst = message.dst
         is_broadcast = message.is_broadcast
         trace = self.trace
-        deliver = self._deliver
-        node_alive = self._node_alive
+        node_alive = self.node_alive
         loss_model = self.loss_model
         loss_p = self.config.loss_probability
 
         if node_alive is None and loss_model is None and loss_p == 0.0:
             # Lossless channel — the path a 10^5-node scale run takes:
             # every neighbour decodes, nothing draws, nothing drops.
-            if is_broadcast:
-                trace.record_delivery_batch(record, message, receivers)
-                for receiver in receivers:
-                    deliver(receiver, message, True)
-                if self._notify_sender is not None:
-                    self._notify_sender(message, True)
-                return
-            addressee_seen = False
-            for receiver in receivers:
-                addressed = receiver == dst
-                if addressed:
-                    trace.record_delivery(record, message, receiver)
-                    addressee_seen = True
-                deliver(receiver, message, addressed)
-            if not addressee_seen:
-                trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
-            if self._notify_sender is not None:
-                self._notify_sender(message, addressee_seen)
+            self._record_deliveries(
+                message,
+                record,
+                receivers,
+                is_broadcast,
+                dst,
+                addressee_decoded=True
+                if is_broadcast or dst in receivers
+                else None,
+            )
             return
 
         # Faulty channel: drops must be recorded in receiver order, so
@@ -915,8 +927,8 @@ class RadioMedium:
             self._rng.random(n_alive) if loss_p > 0.0 and n_alive else None
         )
         now = self.engine.now
-        addressee_got_it = is_broadcast
-        addressee_seen = is_broadcast
+        # The unicast ACK outcome; None while the addressee is unseen.
+        addressee_decoded = True if is_broadcast else None
         delivered: List[int] = []
         draw_index = 0
         for slot, receiver in enumerate(receivers):
@@ -946,23 +958,16 @@ class RadioMedium:
                 else:
                     delivered.append(receiver)
                     decoded = True
-            if not is_broadcast and receiver == dst:
-                addressee_seen = True
-                addressee_got_it = decoded
-        if is_broadcast:
-            trace.record_delivery_batch(record, message, delivered)
-            for receiver in delivered:
-                deliver(receiver, message, True)
-        else:
-            for receiver in delivered:
-                addressed = receiver == dst
-                if addressed:
-                    trace.record_delivery(record, message, receiver)
-                deliver(receiver, message, addressed)
-        if not addressee_seen:
-            trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
-        if self._notify_sender is not None:
-            self._notify_sender(message, addressee_got_it)
+            if receiver == dst:
+                addressee_decoded = decoded
+        self._record_deliveries(
+            message,
+            record,
+            delivered,
+            is_broadcast,
+            dst,
+            addressee_decoded=addressee_decoded,
+        )
 
     def _conclude_reception(
         self,
@@ -987,7 +992,7 @@ class RadioMedium:
             self.trace.record_drop(reception.record, message, receiver, reason)
             return False
         if alive is None:
-            alive = self._node_alive is None or self._node_alive(receiver)
+            alive = self.node_alive is None or self.node_alive(receiver)
         if not alive:
             self.trace.record_drop(
                 reception.record, message, receiver, DropReason.RECEIVER_DEAD
@@ -1008,10 +1013,11 @@ class RadioMedium:
                 reception.record, message, receiver, DropReason.BURST_LOSS
             )
             return False
-        addressed = message.is_broadcast or message.dst == receiver
-        if addressed:
+        if message.is_broadcast or message.dst == receiver:
             self.trace.record_delivery(reception.record, message, receiver)
-        self._deliver(receiver, message, addressed)
+            self._deliver(receiver, message, True)
+        elif self.overhearers is None or receiver in self.overhearers:
+            self._deliver(receiver, message, False)
         return True
 
 

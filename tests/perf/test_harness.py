@@ -141,3 +141,52 @@ class TestRunAndReport:
     def test_environment_has_provenance_keys(self):
         env = collect_environment()
         assert {"git_sha", "python", "implementation", "platform"} <= set(env)
+
+
+class TestPeakRss:
+    def _fake_row(self, monkeypatch):
+        from repro.perf import harness
+
+        def fake(quick):
+            return BenchResult(
+                name="fake-rss",
+                kind="micro",
+                metric="m",
+                value=1.0,
+                unit="u",
+                wall_seconds=0.1,
+                iterations=1,
+            )
+
+        monkeypatch.setitem(
+            harness._REGISTRY,
+            "fake-rss",
+            harness._Benchmark("fake-rss", "micro", "fake", fake),
+        )
+        return run_benchmarks(["fake-rss"], repeats=1)[0]
+
+    def test_row_after_large_allocation_reports_its_own_peak(
+        self, monkeypatch
+    ):
+        from repro.perf import harness
+
+        blob = b"x" * (200 * 1024 * 1024)  # written, so resident
+        del blob
+        # The high-water mark holds the 200 MB (the old per-row reading)
+        process_peak, _ = harness._peak_rss_mb(False)
+        if not harness._reset_peak_rss():
+            pytest.skip("no /proc/self/clear_refs on this platform")
+        settled, _ = harness._peak_rss_mb(True)
+        assert process_peak > settled + 150
+        # ... but a row run afterwards reports only its own peak.
+        row = self._fake_row(monkeypatch)
+        assert row.detail["peak_rss_source"] == "vmhwm"
+        assert row.detail["peak_rss_mb"] < settled + 50
+
+    def test_falls_back_to_getrusage_without_proc(self, monkeypatch):
+        from repro.perf import harness
+
+        monkeypatch.setattr(harness, "_reset_peak_rss", lambda: False)
+        row = self._fake_row(monkeypatch)
+        assert row.detail["peak_rss_source"] == "getrusage"
+        assert row.detail["peak_rss_mb"] > 0
