@@ -4,9 +4,9 @@ A malicious aggregator that pollutes *every* round forces the base
 station to reject continually — a denial-of-service on the aggregate.
 The countermeasure the paper sketches is implemented here end to end:
 the base station re-runs the aggregation on bisected participant
-subsets (via the ``contributors`` hook), feeding each round's
-accept/reject into a :class:`~repro.core.integrity.PolluterLocalizer`,
-which pins the attacker in ``ceil(log2 N)`` rounds and excludes it.
+subsets (via the ``contributors`` hook) with the services' shared
+bisection, :func:`~repro.core.integrity.bisect_polluter`, which pins
+the attacker in ``ceil(log2 N)`` rounds and excludes it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Set
 import numpy as np
 
 from ..core.config import IpdaConfig
-from ..core.integrity import PolluterLocalizer
+from ..core.integrity import bisect_polluter
 from ..core.pipeline import run_lossless_round
 from ..core.trees import DisjointTrees, build_disjoint_trees
 from ..errors import ProtocolError
@@ -85,32 +85,28 @@ def localize_persistent_polluter(
     if polluter not in suspects:
         raise ProtocolError("polluter must be one of its tree's aggregators")
 
-    localizer = PolluterLocalizer(suspects)
-
-    def probe_is_polluted(subset: Set[int]) -> bool:
-        # Suspects outside the probe are excluded from this round; the
-        # polluter only damages the round when it participates as a
-        # *contributing aggregator* — its tampering rides its report, so
-        # exclusion means exclusion from aggregation duty too.  We model
-        # duty exclusion by keeping pollution iff the polluter is probed.
-        contributors = (set(readings) - suspects) | subset
-        polluters = {polluter: offset} if polluter in subset else None
-        result = run_lossless_round(
+    def run(contributors: Set[int]):
+        # The polluter damages a round only as a *contributing*
+        # aggregator: its tampering rides its report, so leaving it out
+        # of a probe means leaving it out of aggregation duty too.
+        pollution = {polluter: offset} if polluter in contributors else None
+        return run_lossless_round(
             topology,
             readings,
             cfg,
             rng=generator,
             base_station=base_station,
             contributors=contributors,
-            polluters=polluters,
+            polluters=pollution,
             trees=trees,
         )
-        return not result.verification.accepted
 
-    identified = localizer.run(probe_is_polluted)
+    # Lossless probes cannot degrade: every non-accepted probe is a
+    # rejection, the only evidence the bisection counts.
+    identified, rounds_used = bisect_polluter(suspects, readings, run)
     return LocalizationResult(
         polluter=polluter,
         identified=identified,
-        rounds_used=localizer.rounds_used,
+        rounds_used=rounds_used,
         suspects_initial=len(suspects),
     )

@@ -31,15 +31,20 @@ sums apart) and classifies the round three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set
+from typing import Callable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..errors import IntegrityError, ProtocolError
+from .config import IpdaConfig
 
 __all__ = [
     "VerificationResult",
     "DegradationPolicy",
     "IntegrityChecker",
     "PolluterLocalizer",
+    "PolluterHunt",
+    "bisect_polluter",
+    "piece_slack",
+    "verify_round",
 ]
 
 
@@ -47,10 +52,8 @@ __all__ = [
 class DegradationPolicy:
     """How far benign loss may stretch the acceptance threshold.
 
-    ``piece_slack`` bounds the damage of one lost slice piece (random
-    pieces are drawn from ``[-magnitude, magnitude]`` and the final
-    piece of an ``l``-cut reaches ``|reading| + (l-1) * magnitude``, so
-    the runners default to ``max(2, l) * magnitude``).
+    ``piece_slack`` bounds the damage of one lost slice piece (see
+    :func:`piece_slack` for the default).
     ``max_missing_fraction`` caps how much of the two-tree
     piece population may be claimed missing before the round is
     rejected outright: an attacker faking a huge coverage gap to
@@ -303,6 +306,54 @@ class IntegrityChecker:
         return streak
 
 
+def piece_slack(config: IpdaConfig, magnitude: int) -> int:
+    """How far one lost slice piece can move a tree sum.
+
+    ``config.robustness.piece_slack`` when set.  Otherwise: random
+    pieces stay within ``+-magnitude`` but the final piece of an
+    ``l``-cut reaches ``|reading| + (l-1) * magnitude <= (l - 1/2) *
+    magnitude``, so the bound scales with ``l`` beyond 2.
+    """
+    robustness = config.robustness
+    if robustness is not None and robustness.piece_slack is not None:
+        return robustness.piece_slack
+    return magnitude * max(2, config.slices)
+
+
+def verify_round(
+    config: IpdaConfig,
+    magnitude: int,
+    s_red: int,
+    s_blue: int,
+    pieces_red: int,
+    pieces_blue: int,
+    participants: int,
+) -> VerificationResult:
+    """The base station's verdict on one round's two tree sums.
+
+    The paper's bare two-way test, or — with ``config.robustness`` set
+    and degradation enabled — the three-way verdict whose threshold the
+    per-tree piece counts scale against the expected population of
+    ``participants * l`` pieces.  The lossless pipeline, the one-shot
+    radio round and standing epochs all judge their rounds here.
+    """
+    checker = IntegrityChecker(config.threshold)
+    robustness = config.robustness
+    if robustness is None or not robustness.degradation:
+        return checker.verify(s_red, s_blue)
+    return checker.verify(
+        s_red,
+        s_blue,
+        pieces_red=pieces_red,
+        pieces_blue=pieces_blue,
+        expected_pieces=participants * config.slices,
+        policy=DegradationPolicy(
+            piece_slack=piece_slack(config, magnitude),
+            max_missing_fraction=robustness.max_missing_fraction,
+        ),
+    )
+
+
 class PolluterLocalizer:
     """Bisection search for a single non-colluding polluter.
 
@@ -370,3 +421,87 @@ class PolluterLocalizer:
             probe = self.next_probe()
             self.report(bool(probe_is_polluted(probe)))
         return self.localized
+
+
+def bisect_polluter(
+    suspects: Iterable[int],
+    population: Iterable[int],
+    run: Callable[[Set[int]], object],
+) -> Tuple[int, int]:
+    """Isolate a persistent polluter among ``suspects`` by bisection.
+
+    ``run(contributors)`` runs one round in which exactly
+    ``contributors`` inject readings and returns its outcome (anything
+    with a ``verification``).  Each probe lets the honest rest of
+    ``population`` contribute plus the probed half of the suspects.  Only a *rejected* probe
+    counts against its half: a degraded round is explained by loss and
+    is no evidence of pollution.  Returns ``(polluter, probe rounds)``.
+    """
+    suspects = set(suspects)
+    honest = set(population) - suspects
+    localizer = PolluterLocalizer(suspects)
+    culprit = localizer.run(
+        lambda probe: run(honest | probe).verification.rejected
+    )
+    return culprit, localizer.rounds_used
+
+
+class PolluterHunt:
+    """Detect → bisect → exclude: one policy for every iPDA service.
+
+    A service runs each round with :meth:`eligible` contributors and
+    hands the verdict to :meth:`observe`.  ``hunt_after`` consecutive
+    rejections — a degraded round breaks the streak — trigger
+    :func:`bisect_polluter` over the service's suspects, and the
+    culprit is excluded from every later round.
+    """
+
+    def __init__(self, hunt_after: int = 2):
+        if hunt_after < 1:
+            raise ProtocolError("hunt_after must be >= 1")
+        self.hunt_after = hunt_after
+        self.excluded: Set[int] = set()
+        self._rejection_streak = 0
+
+    def eligible(
+        self,
+        readings: Mapping[int, int],
+        contributors: Optional[Set[int]] = None,
+    ) -> Set[int]:
+        """Who may contribute: not excluded, and within ``contributors``."""
+        eligible = set(readings) - self.excluded
+        if contributors is not None:
+            eligible &= contributors
+        return eligible
+
+    def observe(
+        self,
+        verification: VerificationResult,
+        readings: Mapping[int, int],
+        suspects: Callable[[], Set[int]],
+        run: Callable[[Set[int]], object],
+    ) -> Optional[Tuple[int, int]]:
+        """Count a served round's verdict; hunt when the streak is due.
+
+        ``suspects()`` names the nodes that could be polluting and
+        ``run(contributors)`` runs one round with exactly those
+        contributors.  Returns ``(culprit, probe rounds)`` when a hunt
+        ran and excluded its culprit, else None.
+        """
+        if not verification.rejected:
+            self._rejection_streak = 0
+            return None
+        self._rejection_streak += 1
+        if self._rejection_streak < self.hunt_after:
+            return None
+        pool = suspects() - self.excluded
+        if not pool:
+            raise ProtocolError("nothing to hunt: no suspects left")
+        culprit, rounds = bisect_polluter(
+            pool,
+            readings,
+            lambda contributors: run(self.eligible(readings, contributors)),
+        )
+        self.excluded.add(culprit)
+        self._rejection_streak = 0
+        return culprit, rounds

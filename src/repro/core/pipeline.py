@@ -28,7 +28,7 @@ from ..net.topology import Topology
 from ..sim.messages import TreeColor
 from ..sim.rng import RngStreams
 from .config import IpdaConfig
-from .integrity import DegradationPolicy, IntegrityChecker
+from .integrity import verify_round
 from .slicing import SliceAssembler, plan_slices
 from .trees import DisjointTrees, build_disjoint_trees
 
@@ -273,29 +273,15 @@ def run_lossless_round(
         totals[color] = total
         pieces[color] = count
 
-    checker = IntegrityChecker(cfg.threshold)
-    robustness = cfg.robustness
-    if robustness is not None and robustness.degradation:
-        slack = robustness.piece_slack
-        if slack is None:
-            # The final piece of an l-cut can reach |reading| +
-            # (l-1)*magnitude, so the per-piece bound scales with l.
-            slack = magnitude * max(2, cfg.slices)
-        verification = checker.verify(
-            totals[TreeColor.RED],
-            totals[TreeColor.BLUE],
-            pieces_red=pieces[TreeColor.RED],
-            pieces_blue=pieces[TreeColor.BLUE],
-            expected_pieces=len(participants) * cfg.slices,
-            policy=DegradationPolicy(
-                piece_slack=slack,
-                max_missing_fraction=robustness.max_missing_fraction,
-            ),
-        )
-    else:
-        verification = checker.verify(
-            totals[TreeColor.RED], totals[TreeColor.BLUE]
-        )
+    verification = verify_round(
+        cfg,
+        magnitude,
+        totals[TreeColor.RED],
+        totals[TreeColor.BLUE],
+        pieces[TreeColor.RED],
+        pieces[TreeColor.BLUE],
+        len(participants),
+    )
     return LosslessRound(
         trees=trees,
         s_red=totals[TreeColor.RED],

@@ -16,6 +16,11 @@ lossless pipeline:
   hunting mode, bisecting the suspect set with restricted-participation
   rounds until the polluter is isolated, then excludes it permanently
   and resumes normal service.
+
+The streak, bisection and exclusion are
+:class:`~repro.core.integrity.PolluterHunt`, the policy the radio
+service (:class:`repro.protocols.epochs.RadioAggregationService`)
+shares; this module supplies only the lossless rounds and the suspects.
 """
 
 from __future__ import annotations
@@ -25,13 +30,12 @@ from typing import Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
-from ..errors import ProtocolError
 from ..net.topology import Topology
 from ..sim.messages import TreeColor
 from .config import IpdaConfig
-from .integrity import PolluterLocalizer
+from .integrity import PolluterHunt
 from .pipeline import LosslessRound, run_lossless_round
-from .trees import build_disjoint_trees
+from .trees import DisjointTrees, build_disjoint_trees
 
 __all__ = ["RoundRecord", "AggregationSession"]
 
@@ -91,18 +95,24 @@ class AggregationSession:
         seed: int = 0,
         base_station: int = 0,
     ):
-        if hunt_after < 1:
-            raise ProtocolError("hunt_after must be >= 1")
+        self._hunt = PolluterHunt(hunt_after)
         self.topology = topology
         self.config = config if config is not None else IpdaConfig()
         self.base_station = base_station
         self.compromised: Dict[int, int] = dict(compromised or {})
-        self.hunt_after = hunt_after
-        self.excluded: Set[int] = set()
         self.history: List[RoundRecord] = []
         self._rng = np.random.default_rng(seed)
         self._round_id = 0
-        self._rejection_streak = 0
+
+    @property
+    def hunt_after(self) -> int:
+        """Consecutive rejections that trigger the bisection hunt."""
+        return self._hunt.hunt_after
+
+    @property
+    def excluded(self) -> Set[int]:
+        """Nodes hunted down and barred from every later round."""
+        return self._hunt.excluded
 
     # ------------------------------------------------------------------
     # Public service loop
@@ -123,7 +133,37 @@ class AggregationSession:
         hunt.
         """
         dead = set(crashed) if crashed else set()
-        result = self._aggregate(readings, contributors=None, crashed=dead)
+        pinned: Optional[DisjointTrees] = None
+
+        def run(contributors: Set[int]) -> LosslessRound:
+            trees = pinned if pinned is not None else self._trees()
+            active_polluters = {
+                node: offset
+                for node, offset in self.compromised.items()
+                if node in contributors and trees.role_of(node).is_aggregator
+            }
+            return run_lossless_round(
+                self.topology,
+                readings,
+                self.config,
+                rng=self._rng,
+                base_station=self.base_station,
+                contributors=contributors,
+                polluters=active_polluters or None,
+                trees=trees,
+                crashed=dead,
+            )
+
+        def suspects() -> Set[int]:
+            # The hunt pins one set of trees for its duration so a
+            # suspect's aggregator role stays stable across probe rounds.
+            nonlocal pinned
+            pinned = self._trees()
+            return pinned.aggregators(TreeColor.RED) | pinned.aggregators(
+                TreeColor.BLUE
+            )
+
+        result = run(self._hunt.eligible(readings))
         verification = result.verification
         record = RoundRecord(
             round_id=self._round_id,
@@ -139,16 +179,9 @@ class AggregationSession:
             crashed=dead,
         )
         self._round_id += 1
-        if not verification.rejected:
-            self._rejection_streak = 0
-        else:
-            self._rejection_streak += 1
-            if self._rejection_streak >= self.hunt_after:
-                culprit, hunt_rounds = self._hunt(readings, crashed=dead)
-                record.hunt_rounds = hunt_rounds
-                record.newly_excluded = culprit
-                self.excluded.add(culprit)
-                self._rejection_streak = 0
+        hunt = self._hunt.observe(verification, readings, suspects, run)
+        if hunt is not None:
+            record.newly_excluded, record.hunt_rounds = hunt
         self.history.append(record)
         return record
 
@@ -169,75 +202,11 @@ class AggregationSession:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _aggregate(
-        self,
-        readings: Mapping[int, int],
-        *,
-        contributors: Optional[Set[int]],
-        trees=None,
-        crashed: Optional[Set[int]] = None,
-    ) -> LosslessRound:
-        eligible = set(readings) - self.excluded
-        if contributors is not None:
-            eligible &= contributors
-        if trees is None:
-            trees = build_disjoint_trees(
-                self.topology,
-                self.config,
-                self._rng,
-                base_station=self.base_station,
-            )
-        active_polluters = {
-            node: offset
-            for node, offset in self.compromised.items()
-            if node in eligible and trees.role_of(node).is_aggregator
-        }
-        return run_lossless_round(
-            self.topology,
-            readings,
-            self.config,
-            rng=self._rng,
-            base_station=self.base_station,
-            contributors=eligible,
-            polluters=active_polluters or None,
-            trees=trees,
-            crashed=crashed,
-        )
-
-    def _hunt(
-        self,
-        readings: Mapping[int, int],
-        *,
-        crashed: Optional[Set[int]] = None,
-    ):
-        """Bisect the participants to isolate the persistent polluter.
-
-        The hunt pins one set of trees for its duration so a suspect's
-        aggregator role stays stable across probe rounds.
-        """
-        trees = build_disjoint_trees(
+    def _trees(self) -> DisjointTrees:
+        """Fresh Phase I trees from the session's randomness."""
+        return build_disjoint_trees(
             self.topology,
             self.config,
             self._rng,
             base_station=self.base_station,
         )
-        suspects = (
-            trees.aggregators(TreeColor.RED)
-            | trees.aggregators(TreeColor.BLUE)
-        ) - self.excluded
-        if not suspects:
-            raise ProtocolError("nothing to hunt: no aggregators")
-        localizer = PolluterLocalizer(suspects)
-
-        def probe_is_polluted(probe: Set[int]) -> bool:
-            contributors = (set(readings) - suspects) | probe
-            result = self._aggregate(
-                readings, contributors=contributors, trees=trees,
-                crashed=crashed,
-            )
-            # A degraded probe is loss, not pollution: count only
-            # genuine rejections as evidence against the probe half.
-            return result.verification.rejected
-
-        culprit = localizer.run(probe_is_polluted)
-        return culprit, localizer.rounds_used

@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import IpdaConfig, RobustnessConfig
+from ..core.integrity import piece_slack
 from ..faults.plan import FaultPlan, GilbertElliottParams
 from ..net.topology import Topology, grid_deployment
 from ..protocols.ipda import IpdaProtocol
@@ -359,7 +360,7 @@ def run_session(
                 # cannot explain.  The served tree is the one closest
                 # to the expected population; each piece it is off by
                 # (missing or duplicated) shifts it at most one slack.
-                slack = out.stats["magnitude"] * max(2, config.slices)
+                slack = piece_slack(config, out.stats["magnitude"])
                 expected = verification.expected_pieces or 0
                 gap = min(
                     abs(

@@ -18,22 +18,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set
 
 from ..core.config import IpdaConfig
-from ..core.integrity import (
-    DegradationPolicy,
-    IntegrityChecker,
-    VerificationResult,
-)
-from ..core.slicing import SliceAssembler
+from ..core.integrity import PolluterHunt, VerificationResult
 from ..crypto.keys import PairwiseKeyScheme
 from ..errors import AnalysisError, ProtocolError
 from ..net.topology import Topology
 from ..sim.mac import MacConfig
-from ..sim.messages import TreeColor
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
 from ..sim.rng import RngStreams
-from .ipda import MAX_DEPTH_SLOTS, _IpdaBaseStation, _IpdaNode
+from .ipda import _IpdaBaseStation, _IpdaNode
 
 __all__ = [
     "EpochOutcome",
@@ -64,10 +58,8 @@ class EpochOutcome:
 
     @property
     def reported(self) -> Optional[int]:
-        """Accepted value, or None on rejection."""
-        if not self.verification.accepted:
-            return None
-        return self.verification.accepted_value
+        """The reported value (full or degraded), or None on rejection."""
+        return self.verification.report_value
 
 
 class EpochedIpdaSession:
@@ -108,8 +100,6 @@ class EpochedIpdaSession:
             node.config = self.config
             node.keys = self._keys
             node.base_station = base_station
-            node.contributes = False
-            node.auto_report = False  # epochs drive their own reports
             return node
 
         self.network = Network(
@@ -119,6 +109,8 @@ class EpochedIpdaSession:
             radio_config=radio_config,
             mac_config=mac_config,
         )
+        self._root = self.network.node(base_station)
+        assert isinstance(self._root, _IpdaBaseStation)
 
     # ------------------------------------------------------------------
     # Phase I (once)
@@ -127,17 +119,11 @@ class EpochedIpdaSession:
         """Flood the twin HELLOs and let roles settle (Phase I)."""
         if self._constructed:
             raise ProtocolError("trees already constructed")
-        root = self.network.node(self.base_station)
-        assert isinstance(root, _IpdaBaseStation)
-        root.start()
+        self._root.start()
         self.network.run(until=self.config.timing.tree_construction_window)
         self.network.run()
         self._constructed = True
         self._construction_bytes = self.network.trace.total_bytes_sent
-        # Cancel the per-round reports the construction scheduled; the
-        # epochs drive their own convergecasts.
-        # (Reports fired during the drained run already; any residue is
-        # harmless because child sums are reset per epoch.)
 
     @property
     def construction_bytes(self) -> int:
@@ -146,13 +132,7 @@ class EpochedIpdaSession:
 
     def covered(self) -> Set[int]:
         """Nodes that heard both colours during Phase I."""
-        return {
-            node.id
-            for node in self.network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.is_covered
-        }
+        return self._root.tally().covered
 
     # ------------------------------------------------------------------
     # Phases II+III (per epoch)
@@ -178,57 +158,33 @@ class EpochedIpdaSession:
         magnitude = self.config.effective_magnitude(readings.values())
         pollution = dict(polluters) if polluters else {}
 
-        root = self.network.node(self.base_station)
-        assert isinstance(root, _IpdaBaseStation)
-        self._reset_epoch_state(root)
-        for node in self.network.iter_nodes():
-            if node.id == self.base_station or not isinstance(node, _IpdaNode):
-                continue
-            node.round_id = epoch
-            node.reading = int(readings.get(node.id, 0))
-            node.magnitude = magnitude
-            node.pollution_offset = int(pollution.get(node.id, 0))
-            node.contributes = node.id in readings and (
-                contributors is None or node.id in contributors
-            )
-
         timing = self.config.timing
-        engine = self.network.engine
-        t_slice = engine.now + 0.001
-        for node in self.network.iter_nodes():
-            if node.id != self.base_station and isinstance(node, _IpdaNode):
-                engine.schedule_at(t_slice, _slicing_starter(node))
+        t_slice = self.network.engine.now + 0.001
         t_report = t_slice + timing.slicing_window + timing.assembly_guard
-        for node in self.network.iter_nodes():
-            if (
-                isinstance(node, _IpdaNode)
-                and node.id != self.base_station
-                and node.color is not None
-            ):
-                engine.schedule_at(
-                    t_report
-                    + max(MAX_DEPTH_SLOTS - (node.hops or 0), 0)
-                    * timing.aggregation_slot
-                    + float(node.rng.uniform(0.0, 0.8 * timing.aggregation_slot)),
-                    _reporter(node),
-                )
+        nodes = list(self.network.iter_nodes())
+        for node in nodes:
+            node.start_round(
+                readings,
+                contributors,
+                pollution,
+                round_id=epoch,
+                magnitude=magnitude,
+                phase3_start=t_report,
+            )
+            if node.id != self.base_station:
+                node.schedule_slicing(t_slice)
+        # Queue every slicing start before drawing any report jitter.
+        for node in nodes:
+            if node.color is not None:
+                node._schedule_report()
         self.network.run()
 
-        s_red = root.tree_sum(TreeColor.RED)
-        s_blue = root.tree_sum(TreeColor.BLUE)
-        participants = {
-            node.id
-            for node in self.network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.participant
-        }
-        verification = self._verify(root, s_red, s_blue, participants,
-                                    magnitude)
+        participants = self._root.tally().participants
+        verification = self._root.verdict(magnitude, len(participants))
         outcome = EpochOutcome(
             epoch=epoch,
-            s_red=s_red,
-            s_blue=s_blue,
+            s_red=verification.s_red,
+            s_blue=verification.s_blue,
             verification=verification,
             participants=participants,
             bytes_this_epoch=(
@@ -239,84 +195,6 @@ class EpochedIpdaSession:
         self.history.append(outcome)
         return outcome
 
-    def _verify(
-        self,
-        root: _IpdaBaseStation,
-        s_red: int,
-        s_blue: int,
-        participants: Set[int],
-        magnitude: int,
-    ) -> VerificationResult:
-        """Bare two-way test, or the loss-tolerant three-way verdict.
-
-        Mirrors :meth:`IpdaProtocol.run_round`: with
-        ``config.robustness`` set and degradation enabled, the piece
-        counts the robust reports carried scale the acceptance
-        threshold, so epochs served through standing trees get the
-        same accept/degrade/reject classification as one-shot rounds.
-        """
-        checker = IntegrityChecker(self.config.threshold)
-        robustness = self.config.robustness
-        if robustness is None or not robustness.degradation:
-            return checker.verify(s_red, s_blue)
-        slack = robustness.piece_slack
-        if slack is None:
-            slack = magnitude * max(2, self.config.slices)
-        return checker.verify(
-            s_red,
-            s_blue,
-            pieces_red=root.tree_pieces(TreeColor.RED),
-            pieces_blue=root.tree_pieces(TreeColor.BLUE),
-            expected_pieces=len(participants) * self.config.slices,
-            policy=DegradationPolicy(
-                piece_slack=slack,
-                max_missing_fraction=robustness.max_missing_fraction,
-            ),
-        )
-
-    def _reset_epoch_state(self, root: _IpdaBaseStation) -> None:
-        for node in self.network.iter_nodes():
-            if not isinstance(node, _IpdaNode):
-                continue
-            node.participant = False
-            for color in list(node.assemblers):
-                node.assemblers[color] = SliceAssembler(node.id)
-            node.child_sum = {TreeColor.RED: 0, TreeColor.BLUE: 0}
-            # Robust-mode state is per-epoch too: piece counts feed the
-            # epoch's verdict and stale un-ACKed sends must not leak
-            # retransmissions into the next epoch's fresh assemblers.
-            node.child_pieces = {TreeColor.RED: 0, TreeColor.BLUE: 0}
-            node._pending_slices.clear()
-            node._pending_reports.clear()
-            # The duplicate filters guard against fail-over replays
-            # *within* one epoch; carried across epochs they make every
-            # fresh aggregate look like a replay of the last epoch's
-            # (same origins, new values) and silently drop it.
-            node._seen_slices.clear()
-            node._seen_aggregates.clear()
-            node._merged_origins = {TreeColor.RED: set(), TreeColor.BLUE: set()}
-            node._reported = False
-
-
-def _slicing_starter(node: _IpdaNode):
-    def fire() -> None:
-        # Fire-time guard: epochs schedule directly on the engine (the
-        # node-level scheduler is unavailable before the epoch starts),
-        # so a node crashed by a mid-traffic fault plan must be checked
-        # here or it would keep slicing from beyond the grave.
-        if node.alive:
-            node.begin_slicing()
-
-    return fire
-
-
-def _reporter(node: _IpdaNode):
-    def fire() -> None:
-        if node.alive:
-            node._report()
-
-    return fire
-
 
 class RadioAggregationService:
     """Self-healing query service on a standing radio deployment.
@@ -326,7 +204,10 @@ class RadioAggregationService:
     on one :class:`EpochedIpdaSession`, and when rejections persist it
     bisects the covered aggregators with restricted-participation
     epochs (all over the real radio stack) until the persistent
-    polluter is isolated, then excludes it from further epochs.
+    polluter is isolated, then excludes it from further epochs.  Both
+    services share :class:`~repro.core.integrity.PolluterHunt`, so a
+    degraded (loss-explained) epoch neither extends the rejection
+    streak nor counts against a probe.
 
     ``compromised`` maps node ids to offsets injected in every epoch
     where the node aggregates.
@@ -339,67 +220,46 @@ class RadioAggregationService:
         compromised: Optional[Mapping[int, int]] = None,
         hunt_after: int = 2,
     ):
-        if hunt_after < 1:
-            raise ProtocolError("hunt_after must be >= 1")
+        self._hunt = PolluterHunt(hunt_after)
         self.session = session
         self.compromised: Dict[int, int] = dict(compromised or {})
-        self.hunt_after = hunt_after
-        self.excluded: Set[int] = set()
         self.hunts: List[Dict[str, object]] = []
-        self._rejection_streak = 0
+
+    @property
+    def hunt_after(self) -> int:
+        """Consecutive rejections that trigger the bisection hunt."""
+        return self._hunt.hunt_after
+
+    @property
+    def excluded(self) -> Set[int]:
+        """Nodes hunted down and barred from every later epoch."""
+        return self._hunt.excluded
 
     def serve(self, readings: Mapping[int, int]) -> EpochOutcome:
         """Serve one query epoch; hunt + exclude on a rejection streak."""
-        outcome = self._epoch(readings, contributors=None)
-        if outcome.accepted:
-            self._rejection_streak = 0
-            return outcome
-        self._rejection_streak += 1
-        if self._rejection_streak >= self.hunt_after:
-            culprit, probe_epochs = self._hunt(readings)
-            self.excluded.add(culprit)
+
+        def run(contributors: Set[int]) -> EpochOutcome:
+            polluters = {
+                node: offset
+                for node, offset in self.compromised.items()
+                if node in contributors
+            }
+            return self.session.run_epoch(
+                readings,
+                contributors=contributors,
+                polluters=polluters or None,
+            )
+
+        outcome = run(self._hunt.eligible(readings))
+        hunt = self._hunt.observe(
+            outcome.verification, readings, self.session.covered, run
+        )
+        if hunt is not None:
+            culprit, probe_epochs = hunt
             self.hunts.append(
                 {"culprit": culprit, "probe_epochs": probe_epochs}
             )
-            self._rejection_streak = 0
         return outcome
-
-    # ------------------------------------------------------------------
-    def _epoch(
-        self,
-        readings: Mapping[int, int],
-        *,
-        contributors: Optional[Set[int]],
-    ) -> EpochOutcome:
-        eligible = set(readings) - self.excluded
-        if contributors is not None:
-            eligible &= contributors
-        polluters = {
-            node: offset
-            for node, offset in self.compromised.items()
-            if node in eligible
-        }
-        return self.session.run_epoch(
-            readings,
-            contributors=eligible,
-            polluters=polluters or None,
-        )
-
-    def _hunt(self, readings: Mapping[int, int]):
-        from ..core.integrity import PolluterLocalizer
-
-        suspects = self.session.covered() - self.excluded
-        if not suspects:
-            raise ProtocolError("nothing to hunt: no covered aggregators")
-        localizer = PolluterLocalizer(suspects)
-
-        def probe_is_polluted(probe: Set[int]) -> bool:
-            contributors = (set(readings) - suspects) | probe
-            outcome = self._epoch(readings, contributors=contributors)
-            return not outcome.accepted
-
-        culprit = localizer.run(probe_is_polluted)
-        return culprit, localizer.rounds_used
 
 
 def amortized_messages_per_node(slices: int, epochs: int) -> float:

@@ -41,14 +41,11 @@ gracefully under benign loss instead of rejecting (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from ..core.config import IpdaConfig, RobustnessConfig
-from ..core.integrity import (
-    DegradationPolicy,
-    IntegrityChecker,
-    VerificationResult,
-)
+from ..core.integrity import VerificationResult, verify_round
 from ..core.slicing import SliceAssembler, plan_slices, schedule_fanout
 from ..core.trees import role_probabilities
 from ..crypto.envelope import make_nonce, open_sealed, seal, seal_batch
@@ -77,6 +74,8 @@ __all__ = ["IpdaOutcome", "IpdaProtocol"]
 #: Convergecast depth bound (slots), mirroring TAG's epoch division.
 MAX_DEPTH_SLOTS = 32
 
+_BOTH = (TreeColor.RED, TreeColor.BLUE)
+
 
 @dataclass
 class _PendingSend:
@@ -87,6 +86,61 @@ class _PendingSend:
     tried: Set[int]
     timer: Optional[ScheduledEvent]
     piece: int = 0  # slice transfers only: the plaintext piece
+
+
+def _per_color(factory):
+    """A dataclass field holding one ``factory()`` per tree colour."""
+    return field(default_factory=lambda: {c: factory() for c in _BOTH})
+
+
+@dataclass(slots=True)
+class _RoundState:
+    """Everything an iPDA node holds for one round; replaced each round.
+
+    The runner's inputs sit next to what the round accumulates, so a
+    new round is one assignment and nothing can leak into the next.
+    Phase I tree state and lifetime fields (keys, ``_slice_seq``) stay
+    on the node.
+    """
+
+    round_id: int = 0
+    reading: int = 0
+    contributes: bool = False
+    magnitude: int = 4
+    pollution_offset: int = 0
+    #: when Phase III starts; None schedules no report (the standing
+    #: trees' construction, whose epochs schedule their own).
+    phase3_start: Optional[float] = None
+    assemblers: Dict[TreeColor, SliceAssembler] = field(default_factory=dict)
+    participant: bool = False
+    child_sum: Dict[TreeColor, int] = _per_color(int)
+    #: cumulative slice-piece counts received from children's reports.
+    child_pieces: Dict[TreeColor, int] = _per_color(int)
+    # --- loss-tolerant mode (inert when robustness is None) ---
+    pending_slices: Dict[int, _PendingSend] = field(default_factory=dict)
+    pending_reports: Dict[int, _PendingSend] = field(default_factory=dict)
+    seen_slices: Set[Tuple[int, int]] = field(default_factory=set)
+    seen_aggregates: Set[int] = field(default_factory=set)
+    #: origin aggregators already folded into ``child_sum`` — the
+    #: duplicate filter for fail-over paths.
+    merged_origins: Dict[TreeColor, Set[int]] = _per_color(set)
+    reported: bool = False
+    retries_used: int = 0
+    reparent_count: int = 0
+    #: base station: when the last partial result arrived (the latency).
+    last_result_time: float = 0.0
+
+
+@dataclass
+class _Tally:
+    """What the base station counts over a finished round's nodes."""
+
+    participants: Set[int] = field(default_factory=set)
+    covered: Set[int] = field(default_factory=set)
+    aggregators: Dict[TreeColor, int] = _per_color(int)
+    blacklisting: int = 0
+    retries_used: int = 0
+    reparent_count: int = 0
 
 
 @dataclass
@@ -123,11 +177,6 @@ class _IpdaNode(Node):
         super().__init__(node_id, network)
         self.config: IpdaConfig = IpdaConfig()
         self.keys: Optional[KeyManagementScheme] = None
-        self.round_id = 0
-        self.reading = 0
-        self.contributes = False
-        self.pollution_offset = 0
-        self.magnitude = 4
         self.base_station = 0
 
         self.heard: Dict[TreeColor, Dict[int, int]] = {
@@ -144,37 +193,49 @@ class _IpdaNode(Node):
         self.hops: Optional[int] = None
         self.decided = False
         self._decision_pending = False
-        self.participant = False
-        self.assemblers: Dict[TreeColor, SliceAssembler] = {}
-        self.child_sum: Dict[TreeColor, int] = {
-            TreeColor.RED: 0,
-            TreeColor.BLUE: 0,
-        }
         self.mismatched_aggregates = 0
+        #: lifetime slice counter, so nonces and slice dedup keys never
+        #: repeat across rounds.
         self._slice_seq = 0
-        #: single-round mode schedules the Phase-III report right after
-        #: role election; the epoched session drives reports itself.
-        self.auto_report = True
+        self.round = _RoundState(assemblers=self._new_assemblers())
 
-        # --- loss-tolerant mode state (inert when robustness is None) ---
-        self._pending_slices: Dict[int, _PendingSend] = {}
-        self._pending_reports: Dict[int, _PendingSend] = {}
-        self._seen_slices: Set[Tuple[int, int]] = set()
-        self._seen_aggregates: Set[int] = set()
-        #: origin aggregators already folded into ``child_sum`` — the
-        #: duplicate filter for fail-over paths.
-        self._merged_origins: Dict[TreeColor, Set[int]] = {
-            TreeColor.RED: set(),
-            TreeColor.BLUE: set(),
-        }
-        #: cumulative slice-piece counts received from children's reports.
-        self.child_pieces: Dict[TreeColor, int] = {
-            TreeColor.RED: 0,
-            TreeColor.BLUE: 0,
-        }
-        self._reported = False
-        self.retries_used = 0
-        self.reparent_count = 0
+    def _new_assemblers(self) -> Dict[TreeColor, SliceAssembler]:
+        """Fresh assemblers for the colours this node aggregates."""
+        if self.color is None:
+            return {}
+        return {self.color: SliceAssembler(self.id)}
+
+    def start_round(
+        self,
+        readings: Mapping[int, int],
+        contributors: Optional[Set[int]],
+        polluters: Mapping[int, int],
+        *,
+        round_id: int,
+        magnitude: int,
+        phase3_start: Optional[float],
+    ) -> None:
+        """Begin a round: every per-round field is replaced at once.
+
+        The node contributes when it has a reading and ``contributors``
+        (None: everyone) includes it.
+        """
+        node_id = self.id
+        self.round = _RoundState(
+            round_id=round_id,
+            reading=int(readings.get(node_id, 0)),
+            contributes=node_id in readings
+            and (contributors is None or node_id in contributors),
+            magnitude=magnitude,
+            pollution_offset=int(polluters.get(node_id, 0)),
+            phase3_start=phase3_start,
+            assemblers=self._new_assemblers(),
+        )
+
+    @property
+    def retries_used(self) -> int:
+        """Protocol-level retries this round (the benchmark reads it)."""
+        return self.round.retries_used
 
     @property
     def robust(self) -> Optional[RobustnessConfig]:
@@ -193,7 +254,7 @@ class _IpdaNode(Node):
             AckMessage(
                 src=self.id,
                 dst=message.src,
-                round_id=self.round_id,
+                round_id=self.round.round_id,
                 color=getattr(message, "color", None),
                 ref=message.frame_id,
             )
@@ -214,11 +275,11 @@ class _IpdaNode(Node):
 
     def _handle_ack(self, message: AckMessage) -> None:
         """Settle the pending transfer the ACK references."""
-        state = self._pending_slices.pop(message.ref, None)
-        if state is None:
-            state = self._pending_reports.pop(message.ref, None)
-        if state is not None and state.timer is not None:
-            state.timer.cancel()
+        pending = self.round.pending_slices.pop(message.ref, None)
+        if pending is None:
+            pending = self.round.pending_reports.pop(message.ref, None)
+        if pending is not None and pending.timer is not None:
+            pending.timer.cancel()
 
     # ------------------------------------------------------------------
     # Phase I: role election and tree joining
@@ -284,14 +345,14 @@ class _IpdaNode(Node):
         own_heard = self.heard[self.color]
         self.parent = min(own_heard, key=lambda a: (own_heard[a], a))
         self.hops = own_heard[self.parent] + 1
-        self.assemblers[self.color] = SliceAssembler(self.id)
+        self.round.assemblers = self._new_assemblers()
         self.send(
             HelloMessage(
                 src=self.id,
                 dst=BROADCAST,
                 color=self.color,
                 hops=self.hops,
-                round_id=self.round_id,
+                round_id=self.round.round_id,
             )
         )
         self._schedule_report()
@@ -299,32 +360,34 @@ class _IpdaNode(Node):
     # ------------------------------------------------------------------
     # Phase II: slicing and assembling
     # ------------------------------------------------------------------
+    def schedule_slicing(self, when: float) -> None:
+        """Start Phase II at ``when``, unless this node is down by then."""
+        self.engine.schedule_at(when, self._guarded(self.begin_slicing))
+
     def begin_slicing(self) -> None:
         """Called at the start of the slicing window by the runner."""
-        if not self.contributes:
+        state = self.round
+        if not state.contributes:
             return
-        candidates = {
-            color: self._slice_candidates(color)
-            for color in (TreeColor.RED, TreeColor.BLUE)
-        }
+        candidates = {color: self._slice_candidates(color) for color in _BOTH}
         try:
             plans = plan_slices(
                 self.id,
-                self.reading,
+                state.reading,
                 own_color=self.color,
                 red_candidates=sorted(candidates[TreeColor.RED]),
                 blue_candidates=sorted(candidates[TreeColor.BLUE]),
                 pieces=self.config.slices,
                 rng=self.rng,
-                magnitude=self.magnitude,
+                magnitude=state.magnitude,
             )
         except ProtocolError:
             return  # not enough aggregators in range: sit out (factor (b))
-        self.participant = True
+        state.participant = True
         window = 0.9 * self.config.timing.slicing_window
         for color, plan in plans.items():
             if plan.kept is not None:
-                self.assemblers[color].keep(plan.kept)
+                state.assemblers[color].keep(plan.kept)
         # Pre-assign sequence numbers in predicted fire order and seal
         # the whole two-colour fan-out in one batched cipher pass —
         # byte-identical to sealing lazily per send (the messages
@@ -338,7 +401,7 @@ class _IpdaNode(Node):
             [entry.piece for entry in planned],
             [self.keys.link_key(self.id, entry.target) for entry in planned],
             [
-                make_nonce(self.id, entry.target, self.round_id, entry.seq)
+                make_nonce(self.id, entry.target, state.round_id, entry.seq)
                 for entry in planned
             ],
         )
@@ -408,13 +471,13 @@ class _IpdaNode(Node):
                 self._slice_seq += 1
                 seq = self._slice_seq
             if ciphertext is None:
-                nonce = make_nonce(self.id, target, self.round_id, seq)
+                nonce = make_nonce(self.id, target, self.round.round_id, seq)
                 key = self.keys.link_key(self.id, target)
                 ciphertext = seal(piece, key, nonce)
             message = SliceMessage(
                 src=self.id,
                 dst=target,
-                round_id=self.round_id,
+                round_id=self.round.round_id,
                 color=color,
                 seq=seq,
                 ciphertext=ciphertext,
@@ -427,7 +490,7 @@ class _IpdaNode(Node):
             self.robust.slice_ack_timeout,
             lambda: self._slice_timeout(frame_id),
         )
-        self._pending_slices[frame_id] = _PendingSend(
+        self.round.pending_slices[frame_id] = _PendingSend(
             message=message,
             attempt=attempt,
             tried={target},
@@ -438,7 +501,7 @@ class _IpdaNode(Node):
     def _slice_timeout(self, frame_id: int) -> None:
         """No ACK in time: back off and resend the same frame, or give up."""
         robust = self.robust
-        state = self._pending_slices.pop(frame_id, None)
+        state = self.round.pending_slices.pop(frame_id, None)
         if state is None or robust is None:
             return
         if state.attempt >= robust.slice_retry_limit:
@@ -447,7 +510,7 @@ class _IpdaNode(Node):
         assert isinstance(message, SliceMessage)
         color = message.color
         assert color is not None
-        self.retries_used += 1
+        self.round.retries_used += 1
         self.schedule(
             self._backoff(state.attempt),
             lambda: self._send_slice(
@@ -462,15 +525,16 @@ class _IpdaNode(Node):
     def _handle_slice(self, message: SliceMessage) -> None:
         if message.color is None:
             raise ProtocolError("slice without a colour tag")
-        assembler = self.assemblers.get(message.color)
+        state = self.round
+        assembler = state.assemblers.get(message.color)
         if assembler is None:
             return  # stray slice for a tree we are not on; drop it
         if self.robust is not None:
             dedup = (message.src, message.seq)
-            if dedup in self._seen_slices:
+            if dedup in state.seen_slices:
                 self._ack(message)  # our earlier ACK was lost; repeat it
                 return
-            self._seen_slices.add(dedup)
+            state.seen_slices.add(dedup)
             self._ack(message)
         assert self.keys is not None
         key = self.keys.link_key(message.src, self.id)
@@ -483,34 +547,34 @@ class _IpdaNode(Node):
     # Phase III: convergecast along the coloured trees
     # ------------------------------------------------------------------
     def _schedule_report(self) -> None:
-        if not self.auto_report:
+        """Schedule this round's report: deepest hops transmit first.
+
+        A round without a Phase III start schedules nothing.
+        """
+        phase3_start = self.round.phase3_start
+        if phase3_start is None:
             return
         assert self.hops is not None
-        timing = self.config.timing
-        phase3_start = (
-            timing.tree_construction_window
-            + timing.slicing_window
-            + timing.assembly_guard
-        )
-        depth_slot = max(MAX_DEPTH_SLOTS - self.hops, 0)
+        slot = self.config.timing.aggregation_slot
         when = (
             phase3_start
-            + depth_slot * timing.aggregation_slot
-            + float(self.rng.uniform(0.0, 0.8 * timing.aggregation_slot))
+            + max(MAX_DEPTH_SLOTS - self.hops, 0) * slot
+            + float(self.rng.uniform(0.0, 0.8 * slot))
         )
         self.engine.schedule_at(max(when, self.now), self._guarded(self._report))
 
     def _report(self) -> None:
         if self.color is None or self.parent is None:
             return
-        assembler = self.assemblers[self.color]
+        state = self.round
+        assembler = state.assemblers[self.color]
         assembled = assembler.assembled_value()
-        value = assembled + self.child_sum[self.color] + self.pollution_offset
+        value = assembled + state.child_sum[self.color] + state.pollution_offset
         if self.robust is not None:
             # Cumulative piece count: what loss-aware verification sums.
-            count = assembler.piece_count + self.child_pieces[self.color]
+            count = assembler.piece_count + state.child_pieces[self.color]
             origins = tuple(
-                sorted({self.id} | self._merged_origins[self.color])
+                sorted({self.id} | state.merged_origins[self.color])
             )
         else:
             count = assembler.received_count
@@ -518,13 +582,13 @@ class _IpdaNode(Node):
         message = AggregateMessage(
             src=self.id,
             dst=self.parent,
-            round_id=self.round_id,
+            round_id=state.round_id,
             color=self.color,
             value=value,
             contributor_count=count,
             origins=origins,
         )
-        self._reported = True
+        state.reported = True
         self._send_report(message, 1, {self.parent})
 
     def _send_report(
@@ -539,19 +603,19 @@ class _IpdaNode(Node):
             self.robust.report_ack_timeout,
             lambda: self._report_timeout(frame_id),
         )
-        self._pending_reports[frame_id] = _PendingSend(
+        self.round.pending_reports[frame_id] = _PendingSend(
             message=message, attempt=attempt, tried=set(tried), timer=timer
         )
 
     def _report_timeout(self, frame_id: int) -> None:
         """Retry the report; after the per-parent cap, fail over."""
         robust = self.robust
-        state = self._pending_reports.pop(frame_id, None)
+        state = self.round.pending_reports.pop(frame_id, None)
         if state is None or robust is None:
             return
         message = state.message
         assert isinstance(message, AggregateMessage)
-        self.retries_used += 1
+        self.round.retries_used += 1
         delay = self._backoff(state.attempt)
         if state.attempt < robust.report_retry_limit:
             # Same frame, same parent: a duplicate at the receiver is
@@ -566,7 +630,7 @@ class _IpdaNode(Node):
         backup = self._backup_parent(state.tried)
         if backup is None:
             return  # no shallower aggregator left; this subtree is cut off
-        self.reparent_count += 1
+        self.round.reparent_count += 1
         self.parent = backup
         fresh = AggregateMessage(
             src=self.id,
@@ -606,13 +670,40 @@ class _IpdaNode(Node):
         if message.color is not self.color:
             self.mismatched_aggregates += 1
             return
+        if not self._merge(message):
+            return
+        if (
+            self.robust is not None
+            and self.round.reported
+            and self.parent is not None
+        ):
+            # Late child (it retried or re-parented past our own
+            # report): forward its contribution as a supplemental
+            # report so the value still reaches the base station.
+            self._send_report(
+                AggregateMessage(
+                    src=self.id,
+                    dst=self.parent,
+                    round_id=self.round.round_id,
+                    color=self.color,
+                    value=message.value,
+                    contributor_count=message.contributor_count,
+                    origins=message.origins,
+                ),
+                1,
+                {self.parent},
+            )
+
+    def _merge(self, message: AggregateMessage) -> bool:
+        """Fold a child's aggregate into this round; False for a replay."""
+        state = self.round
         if self.robust is not None:
-            if message.frame_id in self._seen_aggregates:
+            if message.frame_id in state.seen_aggregates:
                 self._ack(message)  # duplicate: our ACK was lost, re-ACK
-                return
-            self._seen_aggregates.add(message.frame_id)
+                return False
+            state.seen_aggregates.add(message.frame_id)
             self._ack(message)
-            merged = self._merged_origins[message.color]
+            merged = state.merged_origins[message.color]
             if merged & set(message.origins):
                 # A fail-over path re-delivered a subtree we already
                 # merged (under a different frame): drop it whole.
@@ -620,28 +711,11 @@ class _IpdaNode(Node):
                 # origins, but their values and piece counts vanish
                 # *together*, so the loss stays visible to the base
                 # station's coverage accounting.
-                return
+                return False
             merged.update(message.origins)
-        self.child_sum[message.color] += message.value
-        if self.robust is not None:
-            self.child_pieces[message.color] += message.contributor_count
-            if self._reported and self.parent is not None:
-                # Late child (it retried or re-parented past our own
-                # report): forward its contribution as a supplemental
-                # report so the value still reaches the base station.
-                self._send_report(
-                    AggregateMessage(
-                        src=self.id,
-                        dst=self.parent,
-                        round_id=self.round_id,
-                        color=self.color,
-                        value=message.value,
-                        contributor_count=message.contributor_count,
-                        origins=message.origins,
-                    ),
-                    1,
-                    {self.parent},
-                )
+            state.child_pieces[message.color] += message.contributor_count
+        state.child_sum[message.color] += message.value
+        return True
 
     # ------------------------------------------------------------------
     # Introspection used by the runner
@@ -672,19 +746,24 @@ class _TwoFacedNode(_IpdaNode):
         self.color = TreeColor.RED
         self.parent = min(heard_red, key=lambda a: (heard_red[a], a))
         self.hops = heard_red[self.parent] + 1
-        self.assemblers[TreeColor.RED] = SliceAssembler(self.id)
-        self.assemblers[TreeColor.BLUE] = SliceAssembler(self.id)
-        for color in (TreeColor.RED, TreeColor.BLUE):
+        self.round.assemblers = self._new_assemblers()
+        for color in _BOTH:
             self.send(
                 HelloMessage(
                     src=self.id,
                     dst=BROADCAST,
                     color=color,
                     hops=self.hops,
-                    round_id=self.round_id,
+                    round_id=self.round.round_id,
                 )
             )
         self._schedule_report()
+
+    def _new_assemblers(self) -> Dict[TreeColor, SliceAssembler]:
+        """Once it has a tree, it assembles slices of both colours."""
+        if self.color is None:
+            return {}
+        return {color: SliceAssembler(self.id) for color in _BOTH}
 
 
 class _IpdaBaseStation(_IpdaNode):
@@ -693,22 +772,19 @@ class _IpdaBaseStation(_IpdaNode):
     def __init__(self, node_id: int, network: Network):
         super().__init__(node_id, network)
         self.decided = True
-        self.assemblers = {
-            TreeColor.RED: SliceAssembler(node_id),
-            TreeColor.BLUE: SliceAssembler(node_id),
-        }
-        #: when the last partial result arrived — the round's latency.
-        self.last_result_time = 0.0
+
+    def _new_assemblers(self) -> Dict[TreeColor, SliceAssembler]:
+        return {color: SliceAssembler(self.id) for color in _BOTH}
 
     def start(self) -> None:
-        for color in (TreeColor.RED, TreeColor.BLUE):
+        for color in _BOTH:
             self.send(
                 HelloMessage(
                     src=self.id,
                     dst=BROADCAST,
                     color=color,
                     hops=0,
-                    round_id=self.round_id,
+                    round_id=self.round.round_id,
                 )
             )
 
@@ -718,27 +794,51 @@ class _IpdaBaseStation(_IpdaNode):
     def _handle_aggregate(self, message: AggregateMessage) -> None:
         if message.color is None:
             raise ProtocolError("iPDA aggregate must carry a colour")
-        if self.robust is not None:
-            if message.frame_id in self._seen_aggregates:
-                self._ack(message)
-                return
-            self._seen_aggregates.add(message.frame_id)
-            self._ack(message)
-            merged = self._merged_origins[message.color]
-            if merged & set(message.origins):
-                return  # duplicate fail-over path; see _IpdaNode
-            merged.update(message.origins)
-            self.child_pieces[message.color] += message.contributor_count
-        self.child_sum[message.color] += message.value
-        self.last_result_time = self.now
+        if self._merge(message):
+            self.round.last_result_time = self.now
 
     def tree_sum(self, color: TreeColor) -> int:
         """``S_color``: assembled slices at the root plus child results."""
-        return self.assemblers[color].assembled_value() + self.child_sum[color]
+        state = self.round
+        return state.assemblers[color].assembled_value() + state.child_sum[color]
 
     def tree_pieces(self, color: TreeColor) -> int:
         """Slice pieces accounted for on one tree (robust mode only)."""
-        return self.assemblers[color].piece_count + self.child_pieces[color]
+        state = self.round
+        return state.assemblers[color].piece_count + state.child_pieces[color]
+
+    def tally(self) -> _Tally:
+        """One pass over the finished round's nodes.
+
+        The base station never slices or hears a HELLO, so it never
+        counts as a participant or as covered.
+        """
+        tally = _Tally()
+        for node in self.network.iter_nodes():
+            state = node.round
+            if state.participant:
+                tally.participants.add(node.id)
+            if node.is_covered:
+                tally.covered.add(node.id)
+            if node.color is not None:
+                tally.aggregators[node.color] += 1
+            if node.blacklist:
+                tally.blacklisting += 1
+            tally.retries_used += state.retries_used
+            tally.reparent_count += state.reparent_count
+        return tally
+
+    def verdict(self, magnitude: int, participants: int) -> VerificationResult:
+        """Judge the round's two tree sums (:func:`verify_round`)."""
+        return verify_round(
+            self.config,
+            magnitude,
+            self.tree_sum(TreeColor.RED),
+            self.tree_sum(TreeColor.BLUE),
+            self.tree_pieces(TreeColor.RED),
+            self.tree_pieces(TreeColor.BLUE),
+            participants,
+        )
 
 
 class IpdaProtocol(AggregationProtocol):
@@ -797,6 +897,10 @@ class IpdaProtocol(AggregationProtocol):
         if self.base_station in adversaries:
             raise ProtocolError("the base station cannot be the adversary")
 
+        timing = self.config.timing
+        t_slice = timing.tree_construction_window
+        phase3_start = t_slice + timing.slicing_window + timing.assembly_guard
+
         def factory(node_id: int, network: Network) -> Node:
             if node_id == self.base_station:
                 cls = _IpdaBaseStation
@@ -807,14 +911,15 @@ class IpdaProtocol(AggregationProtocol):
             node = cls(node_id, network)
             node.config = self.config
             node.keys = keys
-            node.round_id = round_id
-            node.magnitude = magnitude
             node.base_station = self.base_station
-            node.reading = int(readings.get(node_id, 0))
-            node.contributes = node_id != self.base_station and (
-                contributors is None or node_id in contributors
+            node.start_round(
+                readings,
+                contributors,
+                pollution,
+                round_id=round_id,
+                magnitude=magnitude,
+                phase3_start=phase3_start,
             )
-            node.pollution_offset = int(pollution.get(node_id, 0))
             return node
 
         network = Network(
@@ -829,134 +934,49 @@ class IpdaProtocol(AggregationProtocol):
         root = network.node(self.base_station)
         assert isinstance(root, _IpdaBaseStation)
 
-        timing = self.config.timing
-        t_slice = timing.tree_construction_window
-        t_report_end = (
-            t_slice
-            + timing.slicing_window
-            + timing.assembly_guard
-            + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
-        )
         root.start()
         for node in network.iter_nodes():
             if node.id != self.base_station:
-                network.engine.schedule_at(
-                    t_slice, _begin_slicing_callback(node)
-                )
+                node.schedule_slicing(t_slice)
         if failures:
             for node_id, when in failures.items():
                 network.engine.schedule_at(
-                    float(when), _kill_callback(network, node_id)
+                    float(when), partial(network.kill_node, node_id)
                 )
-        network.run(until=t_report_end)
+        network.run(
+            until=phase3_start + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
+        )
         network.run()  # drain MAC backoff and protocol-retry tails
 
-        s_red = root.tree_sum(TreeColor.RED)
-        s_blue = root.tree_sum(TreeColor.BLUE)
-        checker = IntegrityChecker(self.config.threshold)
-
-        participants = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.participant
-        }
-        covered = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.is_covered
-        }
-        red_aggs = sum(
-            1
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode) and node.color is TreeColor.RED
-        )
-        blue_aggs = sum(
-            1
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode) and node.color is TreeColor.BLUE
-        )
-
-        robustness = self.config.robustness
-        if robustness is not None and robustness.degradation:
-            slack = robustness.piece_slack
-            if slack is None:
-                # Random pieces stay within +-magnitude but the final
-                # piece of an l-cut reaches |reading| + (l-1)*magnitude
-                # <= (l - 1/2)*magnitude, so scale with l beyond 2.
-                slack = magnitude * max(2, self.config.slices)
-            verification = checker.verify(
-                s_red,
-                s_blue,
-                pieces_red=root.tree_pieces(TreeColor.RED),
-                pieces_blue=root.tree_pieces(TreeColor.BLUE),
-                expected_pieces=len(participants) * self.config.slices,
-                policy=DegradationPolicy(
-                    piece_slack=slack,
-                    max_missing_fraction=robustness.max_missing_fraction,
-                ),
-            )
-        else:
-            verification = checker.verify(s_red, s_blue)
-        reported = verification.report_value
-        retries_used = sum(
-            node.retries_used
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-        )
-        reparent_count = sum(
-            node.reparent_count
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-        )
+        tally = root.tally()
+        participants = tally.participants
+        verification = root.verdict(magnitude, len(participants))
         return IpdaOutcome(
             protocol=self.name,
             round_id=round_id,
-            reported=reported,
+            reported=verification.report_value,
             true_total=sum(int(v) for v in readings.values()),
             participant_total=sum(int(readings[i]) for i in participants),
             participants=participants,
             bytes_sent=network.trace.total_bytes_sent,
             frames_sent=network.trace.total_frames_sent,
-            s_red=s_red,
-            s_blue=s_blue,
+            s_red=verification.s_red,
+            s_blue=verification.s_blue,
             verification=verification,
-            covered=covered,
+            covered=tally.covered,
             stats={
                 "sensor_count": topology.node_count - 1,
-                "red_aggregators": red_aggs,
-                "blue_aggregators": blue_aggs,
-                "adversary_blacklisted_by": sum(
-                    1
-                    for node in network.iter_nodes()
-                    if isinstance(node, _IpdaNode) and node.blacklist
-                ),
+                "red_aggregators": tally.aggregators[TreeColor.RED],
+                "blue_aggregators": tally.aggregators[TreeColor.BLUE],
+                "adversary_blacklisted_by": tally.blacklisting,
                 "slices": self.config.slices,
                 "magnitude": magnitude,
-                "retries_used": retries_used,
-                "reparent_count": reparent_count,
+                "retries_used": tally.retries_used,
+                "reparent_count": tally.reparent_count,
                 "loss_rate": network.trace.loss_rate(),
                 "sent_bytes_by_node": dict(network.trace.sent_bytes_by_node),
-                "latency": root.last_result_time,
+                "latency": root.round.last_result_time,
                 "trace": network.trace.summary(),
                 "frames": network.trace.frames if self.keep_frames else None,
             },
         )
-
-
-def _begin_slicing_callback(node: Node):
-    def fire() -> None:
-        if isinstance(node, _IpdaNode):
-            node.begin_slicing()
-
-    return fire
-
-
-def _kill_callback(network: Network, node_id: int):
-    def fire() -> None:
-        network.kill_node(node_id)
-
-    return fire

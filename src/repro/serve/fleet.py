@@ -333,7 +333,7 @@ class ServiceFleet:
         epoch_outcome = self.session.run_epoch(readings)
         verification = epoch_outcome.verification
         participant_count = len(epoch_outcome.participants)
-        total = verification.report_value  # None on rejection
+        total = epoch_outcome.reported  # None on rejection
         detail = {
             "s_red": verification.s_red,
             "s_blue": verification.s_blue,

@@ -130,7 +130,7 @@ class TestSliceAndAggregateHandling:
             ciphertext=b"\x00" * 8,
         )
         node.on_receive(message)  # silently dropped, no crash
-        assert node.assemblers == {}
+        assert node.round.assemblers == {}
 
     def test_slice_without_color_rejected(self, harness):
         node = harness.node(1)
@@ -148,7 +148,7 @@ class TestSliceAndAggregateHandling:
         node.on_receive(
             AggregateMessage(src=2, dst=1, color=other, value=999)
         )
-        assert node.child_sum[other] == 0
+        assert node.round.child_sum[other] == 0
         assert node.mismatched_aggregates == 1
 
     def test_matching_aggregate_summed(self, harness):
@@ -162,7 +162,7 @@ class TestSliceAndAggregateHandling:
         node.on_receive(
             AggregateMessage(src=0, dst=1, color=node.color, value=5)
         )
-        assert node.child_sum[node.color] == 12
+        assert node.round.child_sum[node.color] == 12
 
     def test_aggregate_without_color_rejected(self, harness):
         node = harness.node(1)
@@ -178,17 +178,17 @@ class TestSliceAndAggregateHandling:
 class TestSlicingGuards:
     def test_non_contributor_never_participates(self, harness):
         node = harness.node(1)
-        node.contributes = False
+        node.round.contributes = False
         node.begin_slicing()
-        assert not node.participant
+        assert not node.round.participant
 
     def test_insufficient_candidates_sit_out(self, harness):
         node = harness.node(1)
-        node.contributes = True
-        node.reading = 5
+        node.round.contributes = True
+        node.round.reading = 5
         # Only one heard aggregator per colour; l=2 needs two blues.
         node.on_receive(hello(0, TreeColor.RED))
         node.on_receive(hello(2, TreeColor.BLUE))
         harness.run()
         node.begin_slicing()
-        assert not node.participant
+        assert not node.round.participant
