@@ -356,7 +356,7 @@ def _write_artifacts(name: str, table: ExperimentTable, args) -> List[str]:
     return lines
 
 
-def _experiment_main(args) -> int:
+def _experiment_main(args, argv: List[str]) -> int:
     names = (
         sorted(EXPERIMENTS) if args.experiment == "all"
         else [args.experiment]
@@ -429,7 +429,7 @@ def _experiment_main(args) -> int:
         runner_module.set_default_cache(previous)
         runner_module.set_default_fleet(previous_fleet)
         runner_module.set_default_cell_timeout(previous_timeout)
-    _write_run_report(args, report_entries, events)
+    _write_run_outputs(args, argv, report_entries, events)
     return 0
 
 
@@ -456,38 +456,17 @@ def _report_entry(name, table, elapsed, registry) -> dict:
     return entry
 
 
-def _write_run_report(args, report_entries, events) -> None:
-    if not (args.metrics_out or args.metrics_events):
-        return
-    from .obs import build_run_report, write_events_jsonl, write_run_report
+def _write_run_outputs(args, argv, report_entries, events) -> None:
+    from .obs import build_run_report, write_events_jsonl, write_report
 
-    report = build_run_report(
-        report_entries, argv=[args.experiment] + _report_argv(args)
-    )
     if args.metrics_out:
-        path = write_run_report(report, args.metrics_out)
+        path = write_report(
+            build_run_report(report_entries, argv=argv), args.metrics_out
+        )
         print(f"(run report written to {path})")
     if args.metrics_events:
         path = write_events_jsonl(events, args.metrics_events)
         print(f"(phase events written to {path})")
-
-
-def _report_argv(args) -> List[str]:
-    """Reconstruct the option part of argv for report provenance."""
-    argv: List[str] = []
-    if args.fast:
-        argv.append("--fast")
-    if args.repetitions is not None:
-        argv += ["--repetitions", str(args.repetitions)]
-    if args.seed:
-        argv += ["--seed", str(args.seed)]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.queue:
-        argv += ["--queue", args.queue]
-    if args.cell_timeout is not None:
-        argv += ["--cell-timeout", str(args.cell_timeout)]
-    return argv
 
 
 # ----------------------------------------------------------------------
@@ -1020,8 +999,23 @@ def _tools_fleet(args) -> int:
     return 0
 
 
-def _tools_bench(args) -> int:
+def _load_bench_report(path: str) -> dict:
+    """Load ``path``, which ``repro bench`` needs to be a bench report."""
+    from .obs import load_report
+    from .perf import BENCH_SCHEMA
+
+    report = load_report(path)
+    if report["schema"] != BENCH_SCHEMA:
+        raise ConfigurationError(
+            f"{path!r} is not a {BENCH_SCHEMA} report "
+            f"(schema={report['schema']!r})"
+        )
+    return report
+
+
+def _tools_bench(args, argv: List[str]) -> int:
     from . import perf
+    from .obs import render_report
 
     if args.list_benchmarks:
         descriptions = perf.benchmark_descriptions()
@@ -1033,7 +1027,7 @@ def _tools_bench(args) -> int:
     if repeats is None:
         repeats = 1 if args.quick else 3
     if args.input is not None:
-        report = perf.load_report(args.input)
+        report = _load_bench_report(args.input)
     else:
         from .obs import MetricsRegistry, using_registry
 
@@ -1045,15 +1039,15 @@ def _tools_bench(args) -> int:
             )
         report = perf.build_report(
             results, quick=args.quick, repeats=repeats,
-            metrics=registry.snapshot(),
+            metrics=registry.snapshot(), argv=argv,
         )
         if not args.no_write:
             path = perf.write_report(report, args.output)
             print(f"(report written to {path})")
-    print(perf.render_report_text(report))
+    print(render_report(report))
     if args.compare is None:
         return 0
-    baseline = perf.load_report(args.compare)
+    baseline = _load_bench_report(args.compare)
     rows, unmatched, warnings = perf.compare_reports(
         report, baseline, fail_above=args.fail_above
     )
@@ -1066,8 +1060,6 @@ def _tools_bench(args) -> int:
 
 
 def _tools_report(args) -> int:
-    from .obs import load_run_report, peek_schema, render_run_report
-
     if args.follow:
         from .obs import follow_events
 
@@ -1080,55 +1072,26 @@ def _tools_report(args) -> int:
         except KeyboardInterrupt:
             pass
         return 0
-    schema = peek_schema(args.path)
-    if schema == "repro-serve/1":
-        from .serve import load_serve_report, render_serve_report
+    from .obs import load_report, render_report
 
-        report = load_serve_report(args.path)
-        renderer = render_serve_report
-    elif schema == "repro-privacy/1":
-        from .privacy import load_privacy_report, render_privacy_report
-
-        report = load_privacy_report(args.path)
-        renderer = render_privacy_report
-    else:
-        report = load_run_report(args.path)
-        renderer = render_run_report
+    report = load_report(args.path)
     if args.json:
         import json
 
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
-        print(renderer(report))
+        print(render_report(report))
     return 0
 
 
-def _tune_argv(args) -> List[str]:
-    """Reconstruct the tune invocation for report provenance."""
-    argv = ["tune"]
-    if args.quick:
-        argv.append("--quick")
-    argv += [
-        "--min-privacy", str(args.min_privacy),
-        "--nodes", str(args.nodes),
-        "--seed", str(args.seed),
-    ]
-    if args.max_overhead is not None:
-        argv += ["--max-overhead", str(args.max_overhead)]
-    if args.max_accuracy_loss is not None:
-        argv += ["--max-accuracy-loss", str(args.max_accuracy_loss)]
-    if args.repetitions != 1:
-        argv += ["--repetitions", str(args.repetitions)]
-    return argv
-
-
-def _tools_tune(args) -> int:
-    from .obs import MetricsRegistry, using_registry
-    from .privacy import (
-        build_privacy_report,
-        render_privacy_report,
-        write_privacy_report,
+def _tools_tune(args, argv: List[str]) -> int:
+    from .obs import (
+        MetricsRegistry,
+        render_report,
+        using_registry,
+        write_report,
     )
+    from .privacy import build_privacy_report
     from .tune import TuneTargets, autotune
 
     targets = TuneTargets(
@@ -1167,7 +1130,6 @@ def _tools_tune(args) -> int:
     elapsed = time.time() - started
     report = build_privacy_report(
         outcome.evaluations,
-        kind="tune",
         targets=outcome.targets.to_jsonable(),
         frontier=outcome.frontier,
         winner=outcome.winner,
@@ -1175,20 +1137,20 @@ def _tools_tune(args) -> int:
         dominating=outcome.dominating,
         cache={"hits": outcome.cache_hits, "misses": outcome.cache_misses},
         metrics=registry.snapshot(),
-        argv=_tune_argv(args),
+        argv=argv,
     )
     if args.json:
         import json
 
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
-        print(render_privacy_report(report))
+        print(render_report(report))
         print(
             f"({len(outcome.evaluations)} candidate(s) in {elapsed:.1f}s, "
             f"store {outcome.cache_hits}/{outcome.cache_misses} hit/miss)"
         )
     if args.output:
-        path = write_privacy_report(report, args.output)
+        path = write_report(report, args.output)
         print(f"(tune report written to {path})")
     if outcome.winner is None:
         print(
@@ -1207,35 +1169,14 @@ def _serve_mixes():
     return MIXES
 
 
-def _serve_argv(args) -> List[str]:
-    """Reconstruct the serve invocation for report provenance."""
-    argv = ["serve"]
-    if args.bench:
-        argv.append("--bench")
-    argv += [
-        "--duration", str(args.duration), "--qps", str(args.qps),
-        "--seed", str(args.seed), "--nodes", str(args.nodes),
-        "--mix", args.mix,
-    ]
-    if args.robust:
-        argv.append("--robust")
-    if args.deadline is not None:
-        argv += ["--deadline", str(args.deadline)]
-    if args.faults:
-        argv += ["--faults", args.faults]
-    return argv
-
-
-def _tools_serve(args) -> int:
-    from .obs import MetricsRegistry, write_events_jsonl
-    from .serve import (
-        BenchConfig,
-        FleetConfig,
-        ServiceConfig,
-        render_serve_report,
-        run_bench,
-        write_serve_report,
+def _tools_serve(args, argv: List[str]) -> int:
+    from .obs import (
+        MetricsRegistry,
+        render_report,
+        write_events_jsonl,
+        write_report,
     )
+    from .serve import BenchConfig, FleetConfig, ServiceConfig, run_bench
 
     bench = BenchConfig(
         duration=args.duration,
@@ -1257,7 +1198,6 @@ def _tools_serve(args) -> int:
         epoch_seconds=args.epoch_seconds,
     )
     registry = MetricsRegistry(capture_events=bool(args.metrics_events))
-    argv = _serve_argv(args)
     if args.bench:
         report = run_bench(
             bench,
@@ -1276,9 +1216,9 @@ def _tools_serve(args) -> int:
 
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
-        print(render_serve_report(report))
+        print(render_report(report))
     if args.output:
-        path = write_serve_report(report, args.output)
+        path = write_report(report, args.output)
         print(f"(serve report written to {path})")
     if args.metrics_events:
         path = write_events_jsonl(list(registry.events), args.metrics_events)
@@ -1373,15 +1313,15 @@ def _tools_main(argv: List[str]) -> int:
     if args.command == "cache":
         return _tools_cache(args)
     if args.command == "bench":
-        return _tools_bench(args)
+        return _tools_bench(args, argv)
     if args.command == "fleet":
         return _tools_fleet(args)
     if args.command == "report":
         return _tools_report(args)
     if args.command == "serve":
-        return _tools_serve(args)
+        return _tools_serve(args, argv)
     if args.command == "tune":
-        return _tools_tune(args)
+        return _tools_tune(args, argv)
     return _tools_store(args)
 
 
@@ -1391,7 +1331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if argv and argv[0] in TOOL_COMMANDS:
             return _tools_main(argv)
-        return _experiment_main(_build_parser().parse_args(argv))
+        return _experiment_main(_build_parser().parse_args(argv), argv)
     except ReproError as error:
         print(f"ipda: error: {error}", file=sys.stderr)
         return 2

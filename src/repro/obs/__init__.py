@@ -1,4 +1,4 @@
-"""Run-wide observability: metrics registry, phase timers, run reports.
+"""Run-wide observability: metrics registry, phase timers, reports.
 
 The paper's whole evaluation is measurement — bytes on the air,
 per-node message counts, accuracy, latency — and the surrounding
@@ -35,12 +35,12 @@ from .report import (
     RUN_SCHEMA,
     build_run_report,
     deterministic_view,
-    load_run_report,
-    peek_schema,
+    load_report,
+    render_report,
     render_run_report,
-    validate_run_report,
+    validate_report,
     write_events_jsonl,
-    write_run_report,
+    write_report,
 )
 
 __all__ = [
@@ -56,12 +56,12 @@ __all__ = [
     "deterministic_view",
     "follow_events",
     "get_registry",
-    "load_run_report",
-    "peek_schema",
+    "load_report",
     "render_event_summary",
+    "render_report",
     "render_run_report",
     "using_registry",
-    "validate_run_report",
+    "validate_report",
     "write_events_jsonl",
-    "write_run_report",
+    "write_report",
 ]

@@ -1,16 +1,28 @@
-"""Structured run reports: schema ``repro-run/1`` JSON + JSONL events.
+"""Structured reports: one envelope for the four ``repro-*/1`` kinds.
 
-A run report is the machine-readable record of one CLI invocation:
-which experiments ran, how long each phase took, and what every
-subsystem (engine, radio, MAC, trace, store, deployment cache, runner)
-counted while doing it.  The schema is versioned so downstream
-consumers (CI artifact checks, cross-protocol overhead comparisons)
-can validate before trusting a file, and ``repro report <path>``
-pretty-prints one for humans.
+Every report is a JSON object that starts with the same header
+(:func:`report_header`: ``schema``, ``created_utc``, ``argv``) and
+carries a kind-specific payload:
+
+* ``repro-run/1`` -- one experiment invocation: which experiments ran,
+  how long each phase took, and what every subsystem counted (built
+  here, by :func:`build_run_report`);
+* ``repro-serve/1`` -- a service bench (:mod:`repro.serve.bench`);
+* ``repro-privacy/1`` -- an autotuner sweep (:mod:`repro.privacy.report`);
+* ``repro-bench/1`` -- a benchmark run (:mod:`repro.perf.harness`).
+
+The ``schema`` string picks the kind's payload check and renderer from
+:data:`_KINDS`.  :func:`load_report` reads a file once and validates
+it, :func:`write_report` validates before it writes, and
+:func:`render_report` is what ``repro report <path>`` prints.  The kind
+modules are named as strings and imported on first use, so importing
+this module imports none of them, and no spec's code fingerprint
+covers their sources.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import time
@@ -24,16 +36,38 @@ __all__ = [
     "VOLATILE_PREFIXES",
     "build_run_report",
     "deterministic_view",
-    "load_run_report",
-    "peek_schema",
+    "load_report",
+    "render_report",
     "render_run_report",
-    "validate_run_report",
+    "report_header",
+    "run_payload_problems",
+    "validate_report",
     "write_events_jsonl",
-    "write_run_report",
+    "write_report",
 ]
 
 #: Report schema identifier; bump when the JSON layout changes.
 RUN_SCHEMA = "repro-run/1"
+
+#: schema -> (module, payload check, renderer).  A payload check takes
+#: a document whose header is already checked and returns the list of
+#: problems with the rest of it (empty when valid).
+_KINDS: Dict[str, Tuple[str, str, str]] = {
+    RUN_SCHEMA: (
+        "repro.obs.report", "run_payload_problems", "render_run_report"
+    ),
+    "repro-serve/1": (
+        "repro.serve.bench", "serve_payload_problems", "render_serve_report"
+    ),
+    "repro-privacy/1": (
+        "repro.privacy.report",
+        "privacy_payload_problems",
+        "render_privacy_report",
+    ),
+    "repro-bench/1": (
+        "repro.perf.harness", "bench_payload_problems", "render_report_text"
+    ),
+}
 
 #: Metric-name prefixes whose values legitimately vary run to run or
 #: with ``--jobs`` (wall clocks, cache locality); stripped by
@@ -45,167 +79,92 @@ VOLATILE_PREFIXES: Tuple[str, ...] = (
 _SNAPSHOT_SECTIONS = ("counters", "gauges", "histograms", "phases")
 
 
-def build_run_report(
-    experiments: Sequence[Dict[str, object]],
-    *,
-    argv: Optional[Sequence[str]] = None,
+def report_header(
+    schema: str, argv: Optional[Sequence[str]]
 ) -> Dict[str, object]:
-    """Assemble a ``repro-run/1`` document from per-experiment entries.
+    """The fields every report starts with.
 
-    Each entry must carry ``name`` and ``metrics`` (a registry
-    snapshot); anything else (``elapsed_seconds``, ``cells``, ``jobs``,
-    ``shard_cells``) rides along verbatim.  ``totals`` merges every
-    experiment's metrics into one snapshot.
+    ``argv`` is the argument list the CLI parsed, verbatim, so
+    re-running it reproduces the report's configuration; library
+    callers pass ``None``.
     """
-    totals = MetricsRegistry()
-    elapsed = 0.0
-    cells = 0
-    for entry in experiments:
-        metrics = entry.get("metrics")
-        if isinstance(metrics, dict):
-            totals.merge(metrics)
-        elapsed += float(entry.get("elapsed_seconds", 0.0) or 0.0)
-        cells += int(entry.get("cells", 0) or 0)
     return {
-        "schema": RUN_SCHEMA,
+        "schema": schema,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "argv": list(argv) if argv is not None else None,
-        "experiments": [dict(entry) for entry in experiments],
-        "totals": {
-            "experiments": len(experiments),
-            "cells": cells,
-            "elapsed_seconds": round(elapsed, 6),
-            "metrics": totals.snapshot(),
-        },
     }
 
 
-def _check_snapshot(
-    snapshot: object, where: str, problems: List[str]
-) -> None:
-    if not isinstance(snapshot, dict):
-        problems.append(f"{where}: metrics must be an object")
-        return
-    for section in _SNAPSHOT_SECTIONS:
-        block = snapshot.get(section, {})
-        if not isinstance(block, dict):
-            problems.append(f"{where}: metrics.{section} must be an object")
-            continue
-        for name, value in block.items():
-            if section in ("counters", "gauges"):
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    problems.append(
-                        f"{where}: metrics.{section}[{name!r}] must be "
-                        f"a number, got {type(value).__name__}"
-                    )
-            elif section == "histograms":
-                if (
-                    not isinstance(value, dict)
-                    or not isinstance(value.get("edges"), list)
-                    or not isinstance(value.get("counts"), list)
-                    or len(value["counts"]) != len(value["edges"]) + 1
-                ):
-                    problems.append(
-                        f"{where}: metrics.histograms[{name!r}] must have "
-                        f"edges plus len(edges)+1 counts"
-                    )
-            else:  # phases
-                if not isinstance(value, dict) or not isinstance(
-                    value.get("seconds"), (int, float)
-                ):
-                    problems.append(
-                        f"{where}: metrics.phases[{name!r}] must carry "
-                        f"numeric seconds"
-                    )
+def _header_problems(report: Dict[str, object]) -> List[str]:
+    problems = []
+    if not isinstance(report.get("created_utc"), str):
+        problems.append("created_utc must be a string")
+    # Files written before every kind carried argv omit it.
+    argv = report.get("argv")
+    if argv is not None and not (
+        isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+    ):
+        problems.append("argv must be a list of strings")
+    return problems
 
 
-def validate_run_report(
+def validate_report(
     report: object, *, path: str = "<report>"
 ) -> Dict[str, object]:
-    """Schema-check one run report; raises naming ``path`` on failure."""
-    if not isinstance(report, dict) or report.get("schema") != RUN_SCHEMA:
-        schema = report.get("schema") if isinstance(report, dict) else None
+    """Check the header, then the payload its ``schema`` names.
+
+    Returns ``report``; raises :class:`ConfigurationError` naming
+    ``path`` on an unknown schema or any problem.
+    """
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if not isinstance(schema, str) or schema not in _KINDS:
         raise ConfigurationError(
-            f"{path!r} is not a {RUN_SCHEMA} report (schema={schema!r})"
+            f"{path!r} is not a repro report (schema={schema!r}; "
+            f"expected one of {sorted(_KINDS)})"
         )
-    problems: List[str] = []
-    experiments = report.get("experiments")
-    if not isinstance(experiments, list):
-        problems.append("experiments must be a list")
-        experiments = []
-    for index, entry in enumerate(experiments):
-        where = f"experiments[{index}]"
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("name"), str
-        ):
-            problems.append(f"{where}: must be an object with a name")
-            continue
-        _check_snapshot(entry.get("metrics"), where, problems)
-    totals = report.get("totals")
-    if not isinstance(totals, dict):
-        problems.append("totals must be an object")
-    else:
-        _check_snapshot(totals.get("metrics"), "totals", problems)
+    module, check, _ = _KINDS[schema]
+    problems = _header_problems(report)
+    problems += getattr(importlib.import_module(module), check)(report)
     if problems:
         raise ConfigurationError(
-            f"{path!r} is not a valid {RUN_SCHEMA} report: "
+            f"{path!r} is not a valid {schema} report: "
             + "; ".join(problems[:5])
         )
     return report
 
 
-def peek_schema(path: str) -> Optional[str]:
-    """Read just the ``schema`` field of a report file.
-
-    Lets ``repro report`` dispatch between the report families
-    (``repro-run/1`` runs, ``repro-serve/1`` service benches) before
-    committing to a schema-specific loader.  Errors always name
-    ``path``.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read report {path!r}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path!r} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(document, dict):
-        return None
-    schema = document.get("schema")
-    return schema if isinstance(schema, str) else None
-
-
-def load_run_report(path: str) -> Dict[str, object]:
-    """Read and validate one run report; errors always name ``path``."""
+def load_report(path: str) -> Dict[str, object]:
+    """Read and validate one report of any kind; errors name ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(
-            f"cannot read run report {path!r}: {exc}"
+            f"cannot read report {path!r}: {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigurationError(
             f"{path!r} is not valid JSON: {exc}"
         ) from exc
-    return validate_run_report(report, path=path)
+    return validate_report(report, path=path)
 
 
-def write_run_report(report: Dict[str, object], path: str) -> str:
-    """Write ``report`` as JSON; returns the path written."""
+def write_report(report: Dict[str, object], path: str) -> str:
+    """Validate ``report``, then write it as JSON; returns ``path``."""
+    validate_report(report, path=path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=False)
+        json.dump(report, handle, indent=1)
         handle.write("\n")
     return path
+
+
+def render_report(report: Dict[str, object]) -> str:
+    """Human-readable text of a validated report, by its kind."""
+    module, _, render = _KINDS[str(report["schema"])]
+    return getattr(importlib.import_module(module), render)(report)
 
 
 def write_events_jsonl(
@@ -252,8 +211,106 @@ def deterministic_view(
 
 
 # ----------------------------------------------------------------------
-# Rendering
+# The repro-run/1 kind
 # ----------------------------------------------------------------------
+def build_run_report(
+    experiments: Sequence[Dict[str, object]],
+    *,
+    argv: Optional[Sequence[str]] = None,
+) -> Dict[str, object]:
+    """Assemble a ``repro-run/1`` document from per-experiment entries.
+
+    Each entry must carry ``name`` and ``metrics`` (a registry
+    snapshot); anything else (``elapsed_seconds``, ``cells``, ``jobs``,
+    ``shard_cells``) rides along verbatim.  ``totals`` merges every
+    experiment's metrics into one snapshot.
+    """
+    totals = MetricsRegistry()
+    elapsed = 0.0
+    cells = 0
+    for entry in experiments:
+        metrics = entry.get("metrics")
+        if isinstance(metrics, dict):
+            totals.merge(metrics)
+        elapsed += float(entry.get("elapsed_seconds", 0.0) or 0.0)
+        cells += int(entry.get("cells", 0) or 0)
+    return {
+        **report_header(RUN_SCHEMA, argv),
+        "experiments": [dict(entry) for entry in experiments],
+        "totals": {
+            "experiments": len(experiments),
+            "cells": cells,
+            "elapsed_seconds": round(elapsed, 6),
+            "metrics": totals.snapshot(),
+        },
+    }
+
+
+def _check_snapshot(
+    snapshot: object, where: str, problems: List[str]
+) -> None:
+    if not isinstance(snapshot, dict):
+        problems.append(f"{where}: metrics must be an object")
+        return
+    for section in _SNAPSHOT_SECTIONS:
+        block = snapshot.get(section, {})
+        if not isinstance(block, dict):
+            problems.append(f"{where}: metrics.{section} must be an object")
+            continue
+        for name, value in block.items():
+            if section in ("counters", "gauges"):
+                if isinstance(value, bool) or not isinstance(
+                    value, (int, float)
+                ):
+                    problems.append(
+                        f"{where}: metrics.{section}[{name!r}] must be "
+                        f"a number, got {type(value).__name__}"
+                    )
+            elif section == "histograms":
+                if (
+                    not isinstance(value, dict)
+                    or not isinstance(value.get("edges"), list)
+                    or not isinstance(value.get("counts"), list)
+                    or len(value["counts"]) != len(value["edges"]) + 1
+                ):
+                    problems.append(
+                        f"{where}: metrics.histograms[{name!r}] must have "
+                        f"edges plus len(edges)+1 counts"
+                    )
+            else:  # phases
+                if not isinstance(value, dict) or not all(
+                    isinstance(value.get(key), (int, float))
+                    for key in ("seconds", "count")
+                ):
+                    problems.append(
+                        f"{where}: metrics.phases[{name!r}] must carry "
+                        f"numeric seconds and count"
+                    )
+
+
+def run_payload_problems(report: Dict[str, object]) -> List[str]:
+    """Problems with a ``repro-run/1`` payload (empty when valid)."""
+    problems: List[str] = []
+    experiments = report.get("experiments")
+    if not isinstance(experiments, list):
+        problems.append("experiments must be a list")
+        experiments = []
+    for index, entry in enumerate(experiments):
+        where = f"experiments[{index}]"
+        if not isinstance(entry, dict) or not isinstance(
+            entry.get("name"), str
+        ):
+            problems.append(f"{where}: must be an object with a name")
+            continue
+        _check_snapshot(entry.get("metrics"), where, problems)
+    totals = report.get("totals")
+    if not isinstance(totals, dict):
+        problems.append("totals must be an object")
+    else:
+        _check_snapshot(totals.get("metrics"), "totals", problems)
+    return problems
+
+
 def _group_counters(counters: Dict[str, object]) -> Dict[str, List[str]]:
     """Counters grouped by their dotted prefix, formatted ``k=v``."""
     groups: Dict[str, List[str]] = {}

@@ -12,6 +12,7 @@ from .harness import (
     BENCH_SCHEMA,
     BenchResult,
     available_benchmarks,
+    bench_payload_problems,
     benchmark_descriptions,
     build_report,
     collect_environment,
@@ -24,7 +25,6 @@ from .harness import (
 from .compare import (
     ComparisonRow,
     compare_reports,
-    load_report,
     render_comparison,
 )
 
@@ -36,12 +36,12 @@ __all__ = [
     "BenchResult",
     "ComparisonRow",
     "available_benchmarks",
+    "bench_payload_problems",
     "benchmark_descriptions",
     "build_report",
     "collect_environment",
     "compare_reports",
     "default_report_name",
-    "load_report",
     "register_benchmark",
     "render_comparison",
     "render_report_text",

@@ -10,17 +10,14 @@ are reported so a silent rename can't disable the gate unnoticed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .harness import BENCH_SCHEMA
 
 __all__ = [
     "ComparisonRow",
     "compare_reports",
-    "load_report",
     "render_comparison",
 ]
 
@@ -36,59 +33,6 @@ class ComparisonRow:
     #: Positive = faster than baseline, negative = slower, in percent.
     change_pct: float
     regressed: bool
-
-
-def load_report(path: str) -> Dict[str, object]:
-    """Read and schema-check one ``BENCH_*.json`` report.
-
-    Validates the shape of every result row, not just the top-level
-    schema key: a well-schema'd report with a malformed row (``name``
-    missing, ``value: null``) must fail here with a
-    :class:`ConfigurationError` naming the path — never later with a
-    ``KeyError``/``TypeError`` traceback from the renderer or the
-    comparison gate.
-    """
-    try:
-        with open(path) as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read bench report {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(report, dict) or report.get("schema") != BENCH_SCHEMA:
-        raise ConfigurationError(
-            f"{path!r} is not a {BENCH_SCHEMA} report "
-            f"(schema={report.get('schema') if isinstance(report, dict) else None!r})"
-        )
-    results = report.get("results", [])
-    if not isinstance(results, list):
-        raise ConfigurationError(
-            f"{path!r}: 'results' must be a list, got "
-            f"{type(results).__name__}"
-        )
-    for index, row in enumerate(results):
-        problem = _row_problem(row)
-        if problem:
-            raise ConfigurationError(
-                f"{path!r}: results[{index}] is malformed ({problem})"
-            )
-    return report
-
-
-def _row_problem(row: object) -> str:
-    """Describe what is wrong with one result row ('' when valid)."""
-    if not isinstance(row, dict):
-        return f"expected an object, got {type(row).__name__}"
-    if not isinstance(row.get("name"), str) or not row["name"]:
-        return "missing or non-string 'name'"
-    for key in ("value", "wall_seconds"):
-        value = row.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return f"missing or non-numeric {key!r}"
-    for key in ("kind", "unit"):
-        if not isinstance(row.get(key), str):
-            return f"missing or non-string {key!r}"
-    return ""
 
 
 def _result_index(report: Dict[str, object]) -> Dict[str, Dict[str, object]]:

@@ -6,14 +6,13 @@ every benchmark ``repeats`` times and keeps the best repeat — wall
 clocks on shared machines only ever add noise, so the fastest
 observation is the closest to the true cost of the code.
 
-Reports are plain JSON (schema :data:`BENCH_SCHEMA`) so CI can diff
-them and ``repro bench --compare`` can gate on regressions without any
-extra dependencies.
+Reports are plain JSON (schema :data:`BENCH_SCHEMA`, in the envelope
+of :mod:`repro.obs.report`) so CI can diff them and ``repro bench
+--compare`` can gate on regressions without any extra dependencies.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import resource
@@ -27,11 +26,13 @@ from contextlib import nullcontext
 
 from ..errors import ConfigurationError
 from ..obs import get_registry
+from ..obs import report as obs_report
 
 __all__ = [
     "BENCH_SCHEMA",
     "BenchResult",
     "available_benchmarks",
+    "bench_payload_problems",
     "benchmark_descriptions",
     "build_report",
     "collect_environment",
@@ -238,8 +239,9 @@ def build_report(
     repeats: int,
     baseline_reference: Optional[Dict[str, object]] = None,
     metrics: Optional[Dict[str, object]] = None,
+    argv: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
-    """Assemble the JSON document ``write_report`` persists.
+    """Assemble the ``repro-bench/1`` document ``write_report`` persists.
 
     ``baseline_reference`` is an optional free-form block recording the
     numbers the committed baseline was measured against (e.g. the
@@ -251,8 +253,7 @@ def build_report(
     the instrumented runner), embedded verbatim under ``"metrics"``.
     """
     report: Dict[str, object] = {
-        "schema": BENCH_SCHEMA,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **obs_report.report_header(BENCH_SCHEMA, argv),
         "quick": quick,
         "repeats": repeats,
         "environment": collect_environment(),
@@ -272,26 +273,57 @@ def default_report_name(created_utc: Optional[str] = None) -> str:
 
 
 def write_report(report: Dict[str, object], output: Optional[str] = None) -> str:
-    """Write ``report`` as JSON; returns the path written.
+    """Validate and write ``report`` as JSON; returns the path written.
 
     ``output`` may be a directory (the default ``BENCH_*.json`` name is
     used inside it), an explicit file path, or ``None`` (current
     directory).
     """
+    name = default_report_name(report.get("created_utc"))
     if output is None:
-        path = default_report_name(report.get("created_utc"))
+        path = name
     elif os.path.isdir(output) or output.endswith(os.sep):
-        os.makedirs(output, exist_ok=True)
-        path = os.path.join(output, default_report_name(report.get("created_utc")))
+        path = os.path.join(output, name)
     else:
-        parent = os.path.dirname(output)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         path = output
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=False)
-        handle.write("\n")
-    return path
+    return obs_report.write_report(report, path)
+
+
+def _row_problem(row: object) -> str:
+    """Describe what is wrong with one result row ('' when valid)."""
+    if not isinstance(row, dict):
+        return f"expected an object, got {type(row).__name__}"
+    if not isinstance(row.get("name"), str) or not row["name"]:
+        return "missing or non-string 'name'"
+    for key in ("value", "wall_seconds"):
+        value = row.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"missing or non-numeric {key!r}"
+    for key in ("kind", "unit"):
+        if not isinstance(row.get(key), str):
+            return f"missing or non-string {key!r}"
+    return ""
+
+
+def bench_payload_problems(report: Dict[str, object]) -> List[str]:
+    """Problems with a ``repro-bench/1`` payload (empty when valid).
+
+    Checks every result row, not just the list: a malformed row
+    (``name`` missing, ``value: null``) must fail validation, never
+    later with a ``KeyError``/``TypeError`` traceback from the renderer
+    or the comparison gate.
+    """
+    results = report.get("results", [])
+    if not isinstance(results, list):
+        return [f"'results' must be a list, got {type(results).__name__}"]
+    problems = []
+    for index, row in enumerate(results):
+        problem = _row_problem(row)
+        if problem:
+            problems.append(f"results[{index}] is malformed ({problem})")
+    if not isinstance(report.get("environment", {}), dict):
+        problems.append("environment must be an object")
+    return problems
 
 
 def render_report_text(report: Dict[str, object]) -> str:

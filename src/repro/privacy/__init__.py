@@ -17,8 +17,8 @@ and searched on:
 * :mod:`repro.privacy.evaluate` — the ``privacy-suite`` cell
   experiment evaluating full configurations on the paper deployment;
 * :mod:`repro.privacy.report` — the schema'd ``repro-privacy/1``
-  document (``repro report`` dispatches on it) shared with the
-  :mod:`repro.tune` autotuner.
+  document that the :mod:`repro.tune` autotuner emits (``repro
+  report`` renders it).
 """
 
 from .metrics import (
@@ -44,10 +44,8 @@ from .evaluate import (
 from .report import (
     PRIVACY_SCHEMA,
     build_privacy_report,
-    load_privacy_report,
+    privacy_payload_problems,
     render_privacy_report,
-    validate_privacy_report,
-    write_privacy_report,
 )
 
 __all__ = [
@@ -64,11 +62,9 @@ __all__ = [
     "composite_privacy_score",
     "empirical_mutual_information",
     "evaluate_privacy",
-    "load_privacy_report",
     "make_key_scheme",
     "node_breaking_cost",
+    "privacy_payload_problems",
     "render_privacy_report",
     "slice_count_guarantee",
-    "validate_privacy_report",
-    "write_privacy_report",
 ]

@@ -1,10 +1,9 @@
-"""The ``repro-privacy/1`` document: schema'd privacy/tune reports.
+"""The ``repro-privacy/1`` document: the ``repro tune`` report.
 
-One JSON schema serves both producers: the ``privacy-suite``
-experiment (``kind: "suite"``) and the ``repro tune`` autotuner
-(``kind: "tune"``, adding the target envelope, feasibility, the Pareto
-frontier, and the winning configuration).  ``repro report`` dispatches
-on the schema string, mirroring ``repro-run/1`` and ``repro-serve/1``.
+``repro tune`` is its only producer: the document records every
+evaluated configuration, the target envelope, the Pareto frontier and
+the winning configuration, in the envelope of :mod:`repro.obs.report`.
+``kind`` is always ``"tune"``; the field stays for ``/1`` readers.
 
 Validation is strict about the auditability contract: every
 evaluation's composite score must equal the weighted sum of its
@@ -14,26 +13,19 @@ own breakdown does not explain.
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError
+from ..obs.report import report_header, validate_report
 
 __all__ = [
     "PRIVACY_SCHEMA",
     "build_privacy_report",
-    "load_privacy_report",
+    "privacy_payload_problems",
     "render_privacy_report",
-    "validate_privacy_report",
-    "write_privacy_report",
 ]
 
 #: Report schema identifier; bump when the JSON layout changes.
 PRIVACY_SCHEMA = "repro-privacy/1"
-
-_KINDS = ("suite", "tune")
 
 #: |score - sum(weighted components)| tolerated by validation.
 _AUDIT_TOLERANCE = 1e-9
@@ -42,8 +34,7 @@ _AUDIT_TOLERANCE = 1e-9
 def build_privacy_report(
     evaluations: Sequence[Dict[str, object]],
     *,
-    kind: str,
-    targets: Optional[Dict[str, object]] = None,
+    targets: Dict[str, object],
     frontier: Optional[Sequence[str]] = None,
     winner: Optional[str] = None,
     baseline: Optional[str] = None,
@@ -52,19 +43,13 @@ def build_privacy_report(
     metrics: Optional[Dict[str, object]] = None,
     argv: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
-    """Assemble a ``repro-privacy/1`` document and validate it."""
+    """Assemble a ``repro-privacy/1`` tune document and validate it."""
     report: Dict[str, object] = {
-        "schema": PRIVACY_SCHEMA,
-        "kind": kind,
-        "created_utc": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
+        **report_header(PRIVACY_SCHEMA, argv),
+        "kind": "tune",
+        "targets": dict(targets),
         "evaluations": list(evaluations),
     }
-    if argv is not None:
-        report["argv"] = list(argv)
-    if targets is not None:
-        report["targets"] = dict(targets)
     if frontier is not None:
         report["frontier"] = list(frontier)
     if winner is not None:
@@ -77,125 +62,95 @@ def build_privacy_report(
         report["cache"] = dict(cache)
     if metrics is not None:
         report["metrics"] = metrics
-    validate_privacy_report(report)
-    return report
+    return validate_report(report)
 
 
-def _fail(problem: str) -> None:
-    raise ConfigurationError(f"invalid {PRIVACY_SCHEMA} report: {problem}")
-
-
-def _check_evaluation(index: int, entry: object) -> str:
-    if not isinstance(entry, dict):
-        _fail(f"evaluations[{index}] is not an object")
-    config = entry.get("config")
-    if not isinstance(config, dict) or "slices" not in config:
-        _fail(f"evaluations[{index}] lacks a config with slices")
-    label = config.get("label") or "/".join(
-        str(config[k]) for k in sorted(config)
-    )
-    privacy = entry.get("privacy")
-    if not isinstance(privacy, dict):
-        _fail(f"evaluations[{index}] lacks a privacy block")
-    score = privacy.get("score")
-    if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
-        _fail(f"evaluations[{index}] privacy score {score!r} not in [0, 1]")
-    components = privacy.get("components")
-    if not isinstance(components, list) or not components:
-        _fail(f"evaluations[{index}] privacy decomposition missing")
-    total = 0.0
-    for part in components:
-        if not isinstance(part, dict):
-            _fail(f"evaluations[{index}] has a non-object component")
-        for field in ("name", "score", "weight", "weighted"):
-            if field not in part:
-                _fail(
-                    f"evaluations[{index}] component lacks {field!r}"
-                )
-        total += float(part["weighted"])
-    if abs(total - float(score)) > _AUDIT_TOLERANCE:
-        _fail(
-            f"evaluations[{index}] score {score} is not the sum of its "
-            f"weighted components ({total}) — decomposition not auditable"
-        )
-    return str(label)
-
-
-def validate_privacy_report(report: object) -> Dict[str, object]:
-    """Validate schema, kinds, and the auditability contract."""
-    if not isinstance(report, dict):
-        _fail("not a JSON object")
-    if report.get("schema") != PRIVACY_SCHEMA:
-        _fail(f"schema is {report.get('schema')!r}")
-    kind = report.get("kind")
-    if kind not in _KINDS:
-        _fail(f"kind {kind!r} not in {_KINDS}")
-    evaluations = report.get("evaluations")
-    if not isinstance(evaluations, list) or not evaluations:
-        _fail("evaluations must be a non-empty list")
-    labels = [
-        _check_evaluation(index, entry)
-        for index, entry in enumerate(evaluations)
-    ]
-    if kind == "tune":
-        targets = report.get("targets")
-        if not isinstance(targets, dict):
-            _fail("tune reports must carry a targets envelope")
-        for field in ("winner", "baseline"):
-            value = report.get(field)
-            if value is not None and value not in labels:
-                _fail(
-                    f"{field} {value!r} names no evaluated configuration"
-                )
-        for field in ("frontier", "dominating"):
-            value = report.get(field, [])
-            if not isinstance(value, list):
-                _fail(f"{field} must be a list")
-            for label in value:
-                if label not in labels:
-                    _fail(
-                        f"{field} entry {label!r} names no evaluated "
-                        "configuration"
-                    )
-    return report
-
-
-def load_privacy_report(path: str) -> Dict[str, object]:
-    """Load and validate a ``repro-privacy/1`` file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read privacy report {path!r}: {exc}"
-        ) from exc
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"privacy report {path!r} is not valid JSON: {exc}"
-        ) from exc
-    return validate_privacy_report(report)
-
-
-def write_privacy_report(report: Dict[str, object], path: str) -> str:
-    """Validate and write the document (creating parent directories)."""
-    validate_privacy_report(report)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
 def _evaluation_label(entry: Dict[str, object]) -> str:
     config = entry["config"]
     label = config.get("label")
     if label:
         return str(label)
     return "/".join(str(config[k]) for k in sorted(config))
+
+
+def _evaluation_problem(index: int, entry: object) -> Optional[str]:
+    """What is wrong with one evaluation (``None`` when valid)."""
+    where = f"evaluations[{index}]"
+    if not isinstance(entry, dict):
+        return f"{where} is not an object"
+    config = entry.get("config")
+    if not isinstance(config, dict) or "slices" not in config:
+        return f"{where} lacks a config with slices"
+    privacy = entry.get("privacy")
+    if not isinstance(privacy, dict):
+        return f"{where} lacks a privacy block"
+    score = privacy.get("score")
+    if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+        return f"{where} privacy score {score!r} not in [0, 1]"
+    components = privacy.get("components")
+    if not isinstance(components, list) or not components:
+        return f"{where} privacy decomposition missing"
+    disclosure = entry.get("disclosure")
+    if not isinstance(disclosure, dict) or not isinstance(
+        disclosure.get("monte_carlo"), (int, float)
+    ):
+        return f"{where} lacks a numeric disclosure.monte_carlo"
+    total = 0.0
+    for part in components:
+        if not isinstance(part, dict):
+            return f"{where} has a non-object component"
+        for field in ("name", "raw", "score", "weight", "weighted"):
+            if field not in part:
+                return f"{where} component lacks {field!r}"
+        total += float(part["weighted"])
+    if abs(total - float(score)) > _AUDIT_TOLERANCE:
+        return (
+            f"{where} score {score} is not the sum of its weighted "
+            f"components ({total}) — decomposition not auditable"
+        )
+    return None
+
+
+def privacy_payload_problems(report: Dict[str, object]) -> List[str]:
+    """Problems with a ``repro-privacy/1`` payload (empty when valid).
+
+    Checks the kind, the targets envelope, the auditability contract
+    of every evaluation, and that the winner, baseline, frontier and
+    dominating entries name evaluated configurations.
+    """
+    problems: List[str] = []
+    if report.get("kind") != "tune":
+        problems.append(f"kind {report.get('kind')!r} is not 'tune'")
+    if not isinstance(report.get("targets"), dict):
+        problems.append("tune reports must carry a targets envelope")
+    evaluations = report.get("evaluations")
+    if not isinstance(evaluations, list) or not evaluations:
+        return problems + ["evaluations must be a non-empty list"]
+    for index, entry in enumerate(evaluations):
+        problem = _evaluation_problem(index, entry)
+        if problem:
+            problems.append(problem)
+    if problems:
+        return problems
+    labels = [_evaluation_label(entry) for entry in evaluations]
+    for field in ("winner", "baseline"):
+        value = report.get(field)
+        if value is not None and value not in labels:
+            problems.append(
+                f"{field} {value!r} names no evaluated configuration"
+            )
+    for field in ("frontier", "dominating"):
+        value = report.get(field, [])
+        if not isinstance(value, list):
+            problems.append(f"{field} must be a list")
+            continue
+        for label in value:
+            if label not in labels:
+                problems.append(
+                    f"{field} entry {label!r} names no evaluated "
+                    "configuration"
+                )
+    return problems
 
 
 def _format_targets(targets: Dict[str, object]) -> str:
@@ -213,19 +168,12 @@ def _format_targets(targets: Dict[str, object]) -> str:
 
 def render_privacy_report(report: Dict[str, object]) -> str:
     """Human-readable text view of a validated document."""
-    validate_privacy_report(report)
-    lines: List[str] = []
-    kind = report["kind"]
-    title = (
-        "privacy metric suite" if kind == "suite" else "privacy autotuner"
-    )
-    lines.append(f"{PRIVACY_SCHEMA} — {title} ({report['created_utc']})")
+    lines = [
+        f"{PRIVACY_SCHEMA} — privacy autotuner ({report['created_utc']})"
+    ]
     if report.get("argv"):
         lines.append("argv: " + " ".join(report["argv"]))
-    if kind == "tune":
-        lines.append(
-            "targets: " + _format_targets(report.get("targets", {}))
-        )
+    lines.append("targets: " + _format_targets(report["targets"]))
     frontier = set(report.get("frontier", []))
     dominating = set(report.get("dominating", []))
     winner = report.get("winner")
@@ -259,24 +207,21 @@ def render_privacy_report(report: Dict[str, object]) -> str:
             f"{disclosure:>9.5f}  {' '.join(flags)}"
         )
 
-    if kind == "tune":
-        if winner is None:
-            lines.append(
-                "no configuration meets the target envelope"
-            )
-        else:
-            for entry in report["evaluations"]:
-                if _evaluation_label(entry) != winner:
-                    continue
-                lines.append(f"winner: {winner} — score decomposition:")
-                for part in entry["privacy"]["components"]:
-                    lines.append(
-                        f"  {part['name']:<20} raw={part['raw']:<10.5g} "
-                        f"score={part['score']:.4f} "
-                        f"weight={part['weight']:.2f} "
-                        f"-> {part['weighted']:.4f}"
-                    )
-                break
+    if winner is None:
+        lines.append("no configuration meets the target envelope")
+    else:
+        for entry in report["evaluations"]:
+            if _evaluation_label(entry) != winner:
+                continue
+            lines.append(f"winner: {winner} — score decomposition:")
+            for part in entry["privacy"]["components"]:
+                lines.append(
+                    f"  {part['name']:<20} raw={part['raw']:<10.5g} "
+                    f"score={part['score']:.4f} "
+                    f"weight={part['weight']:.2f} "
+                    f"-> {part['weighted']:.4f}"
+                )
+            break
     if report.get("cache"):
         cache = report["cache"]
         lines.append(

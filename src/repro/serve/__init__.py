@@ -13,12 +13,10 @@ from .bench import (
     SERVE_SCHEMA,
     BenchConfig,
     build_serve_report,
-    load_serve_report,
     render_serve_report,
     run_bench,
     serve_deterministic_view,
-    validate_serve_report,
-    write_serve_report,
+    serve_payload_problems,
 )
 from .fleet import (
     LOSS_PRESETS,
@@ -57,11 +55,9 @@ __all__ = [
     "ServiceFleet",
     "Ticket",
     "build_serve_report",
-    "load_serve_report",
     "parse_fault_spec",
     "render_serve_report",
     "run_bench",
     "serve_deterministic_view",
-    "validate_serve_report",
-    "write_serve_report",
+    "serve_payload_problems",
 ]

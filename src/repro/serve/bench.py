@@ -1,4 +1,4 @@
-"""Closed-loop service bench + the ``repro-serve/1`` report family.
+"""Closed-loop service bench + the ``repro-serve/1`` report kind.
 
 The bench drives a :class:`~repro.serve.service.ServiceCore` on
 **virtual service time**: Poisson arrivals at the target qps are
@@ -10,9 +10,10 @@ equivalent of the batch runners' pinned traces — while the radio
 simulation underneath still costs real CPU, which is what the reported
 wall-clock throughput measures.
 
-The report (schema ``repro-serve/1``) splits accordingly: ``traffic``
-and ``slo`` are deterministic per seed; ``timing`` is wall-clock and
-excluded from determinism checks, as are registry gauges/phases (via
+The report (schema ``repro-serve/1``, in the envelope of
+:mod:`repro.obs.report`) splits accordingly: ``traffic`` and ``slo``
+are deterministic per seed; ``timing`` is wall-clock and excluded from
+determinism checks, as are registry gauges/phases (via
 :func:`repro.obs.report.deterministic_view`).
 """
 
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ServiceOverloadError
 from ..obs import MetricsRegistry, deterministic_view, using_registry
-from ..obs.report import write_run_report
+from ..obs.report import report_header
 from ..rng import RngStreams
 from .fleet import FleetConfig, ServiceFaultSchedule, parse_fault_spec
 from .query import AggregationQuery, QueryResult
@@ -38,11 +39,9 @@ __all__ = [
     "arrival_schedule",
     "run_bench",
     "build_serve_report",
-    "validate_serve_report",
-    "load_serve_report",
     "render_serve_report",
     "serve_deterministic_view",
-    "write_serve_report",
+    "serve_payload_problems",
 ]
 
 SERVE_SCHEMA = "repro-serve/1"
@@ -236,9 +235,7 @@ def build_serve_report(
     admitted = len(results)
     completed = len(served)
     return {
-        "schema": SERVE_SCHEMA,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "argv": list(argv) if argv is not None else None,
+        **report_header(SERVE_SCHEMA, argv),
         "config": {
             "nodes": fleet_config.node_count,
             "seed": bench.seed,
@@ -304,15 +301,8 @@ _TRAFFIC_KEYS = (
 )
 
 
-def validate_serve_report(
-    report: object, *, path: str = "<report>"
-) -> Dict[str, object]:
-    """Schema-check one serve report; raises naming ``path`` on failure."""
-    if not isinstance(report, dict) or report.get("schema") != SERVE_SCHEMA:
-        schema = report.get("schema") if isinstance(report, dict) else None
-        raise ConfigurationError(
-            f"{path}: not a {SERVE_SCHEMA} report (schema={schema!r})"
-        )
+def serve_payload_problems(report: Dict[str, object]) -> List[str]:
+    """Problems with a ``repro-serve/1`` payload (empty when valid)."""
     problems: List[str] = []
     for section in _REQUIRED_SECTIONS:
         if not isinstance(report.get(section), dict):
@@ -333,33 +323,9 @@ def validate_serve_report(
             or not 0.0 <= float(availability) <= 1.0
         ):
             problems.append("slo.availability must be in [0, 1]")
-    if problems:
-        raise ConfigurationError(
-            f"{path}: invalid serve report: " + "; ".join(problems)
-        )
-    return report
-
-
-def load_serve_report(path: str) -> Dict[str, object]:
-    """Read and validate one serve report; errors always name ``path``."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read report {path!r}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path!r} is not valid JSON: {exc}") from exc
-    return validate_serve_report(report, path=path)
-
-
-def write_serve_report(report: Dict[str, object], path: str) -> str:
-    """Write a serve report as JSON; returns the path written."""
-    validate_serve_report(report, path=path)
-    return write_run_report(report, path)
+        if not isinstance(slo.get("mean_batch"), (int, float)):
+            problems.append("slo.mean_batch must be a number")
+    return problems
 
 
 def serve_deterministic_view(report: Dict[str, object]) -> Dict[str, object]:

@@ -78,6 +78,17 @@ class TestMetricsOutRoundTrip:
         assert "table1" in rendered
         assert "run report" in rendered
 
+    def test_run_report_argv_is_the_parsed_list(self, tmp_path, capsys):
+        args = [
+            "table1", "--fast", "--repetitions", "1",
+            "--csv", str(tmp_path / "csv"),
+            "--metrics-out", str(tmp_path / "run.json"),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "run.json").read_text())
+        assert report["argv"] == args
+
     def test_metrics_events_jsonl(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         args = [

@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.perf.compare import compare_reports, load_report, render_comparison
+from repro.obs import load_report
+from repro.perf.compare import compare_reports, render_comparison
 from repro.perf.harness import BENCH_SCHEMA
 
 

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro import perf
 from repro.errors import ConfigurationError
+from repro.obs import load_report
 from repro.perf.harness import (
     BENCH_SCHEMA,
     BenchResult,
@@ -79,7 +79,7 @@ class TestRunAndReport:
         assert report["results"][0]["metric"] == "operations_per_second"
 
         path = write_report(report, str(tmp_path / "out.json"))
-        loaded = perf.load_report(path)
+        loaded = load_report(path)
         assert loaded == json.loads(json.dumps(report))
 
     def test_best_of_repeats_keeps_max(self, monkeypatch):

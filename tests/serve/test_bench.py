@@ -8,17 +8,19 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.obs import deterministic_view
+from repro.obs import (
+    deterministic_view,
+    load_report,
+    validate_report,
+    write_report,
+)
 from repro.serve import (
     BenchConfig,
     FleetConfig,
     ServiceConfig,
-    load_serve_report,
     render_serve_report,
     run_bench,
     serve_deterministic_view,
-    validate_serve_report,
-    write_serve_report,
 )
 from repro.serve.bench import arrival_schedule
 
@@ -141,22 +143,22 @@ class TestDeterministicBench:
 class TestReportFamily:
     def test_validate_accepts_own_output(self):
         report = _bench()
-        assert validate_serve_report(report) is report
+        assert validate_report(report) is report
 
     def test_validate_rejects_wrong_schema(self):
         with pytest.raises(ConfigurationError, match="repro-serve/1"):
-            validate_serve_report({"schema": "repro-run/1"})
+            validate_report({"schema": "repro-serve/2"})
 
     def test_validate_rejects_mangled_traffic(self):
         report = _bench()
         report["traffic"]["admitted"] = -3
         with pytest.raises(ConfigurationError, match="traffic.admitted"):
-            validate_serve_report(report)
+            validate_report(report)
 
     def test_write_load_round_trip(self, tmp_path):
         report = _bench()
-        path = write_serve_report(report, str(tmp_path / "serve.json"))
-        loaded = load_serve_report(path)
+        path = write_report(report, str(tmp_path / "serve.json"))
+        loaded = load_report(path)
         assert serve_deterministic_view(
             loaded
         ) == serve_deterministic_view(report)
@@ -180,7 +182,7 @@ class TestCli:
         ])
         assert code == 0
         assert "Service bench" in capsys.readouterr().out
-        report = load_serve_report(str(out))
+        report = load_report(str(out))
         assert report["traffic"]["completed"] > 0
         lines = events.read_text().splitlines()
         assert lines and all(json.loads(line) for line in lines)
@@ -202,9 +204,24 @@ class TestCli:
             "--seed", "9", "--nodes", "40",
             "--faults", "crash=1@2", "--output", str(out),
         ]) == 0
-        report = load_serve_report(str(out))
+        report = load_report(str(out))
         assert report["config"]["faults"] == "crash=1@2"
         assert report["slo"]["availability"] > 0
+
+    def test_report_argv_is_the_parsed_list(self, tmp_path, capsys):
+        argv = [
+            "serve", "--bench", "--duration", "1", "--qps", "5",
+            "--nodes", "40", "--slices", "3", "--threshold", "7",
+            "--capacity", "16", "--max-batch", "8",
+            "--epoch-seconds", "0.25", "--output", str(tmp_path / "s.json"),
+        ]
+        assert main(argv) == 0
+        report = load_report(str(tmp_path / "s.json"))
+        assert report["argv"] == argv
+        config = report["config"]
+        assert (config["slices"], config["threshold"]) == (3, 7)
+        assert (config["capacity"], config["max_batch"]) == (16, 8)
+        assert config["epoch_seconds"] == 0.25
 
     def test_bad_fault_spec_is_a_clean_error(self, capsys):
         assert main([

@@ -195,6 +195,24 @@ class TestCodeFingerprint:
         clear_fingerprint_caches()
         assert code_fingerprint("fpdemo.spec") == before
 
+    def test_report_kinds_stay_out_of_every_closure(self):
+        # The report envelope (repro.obs.report) is in every closure;
+        # it names the kind modules as strings, so their sources must
+        # never reach a cell digest.
+        from repro.runner import available_experiments
+
+        outside = {
+            "repro.serve.bench",
+            "repro.privacy.report",
+            "repro.perf.harness",
+            "repro.perf.compare",
+            "repro.cli",
+        }
+        for name in available_experiments():
+            run_cell = get_spec(name).run_cell
+            modules = fingerprint_modules(run_cell.__module__, run_cell)
+            assert not outside & set(modules), name
+
     def test_every_registered_spec_fingerprints(self):
         from repro.experiments import SPECS
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.privacy import load_privacy_report
+from repro.obs import load_report
 
 
 def _argv(tmp_path, *extra):
@@ -39,7 +39,8 @@ class TestTuneCommand:
         assert "WINNER" in text
         assert "privacy autotuner" in text
 
-        report = load_privacy_report(str(out_path))
+        report = load_report(str(out_path))
+        assert report["argv"] == argv
         assert report["kind"] == "tune"
         assert report["winner"] == "l2-th5-pairwise-fixed"
         assert report["dominating"] == ["l2-th5-pairwise-fixed"]
@@ -49,7 +50,7 @@ class TestTuneCommand:
         # Warm re-run over the same store: 100% hits, same decisions.
         assert main(argv) == 0
         capsys.readouterr()
-        warm = load_privacy_report(str(out_path))
+        warm = load_report(str(out_path))
         assert warm["cache"] == {"hits": 4, "misses": 0}
         assert warm["winner"] == report["winner"]
         assert warm["evaluations"] == report["evaluations"]
