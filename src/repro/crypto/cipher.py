@@ -27,9 +27,7 @@ tuples in process memory for the process lifetime.  That is acceptable
 here because this cipher exists to *model* link encryption in a
 simulator (see above — it is explicitly not production security);
 do not reuse this caching pattern where key/plaintext residency
-matters.  The ``_keystream_reference``/``_xor_encrypt_reference``
-implementations preserve the original byte-at-a-time semantics for
-equivalence tests.
+matters.
 """
 
 from __future__ import annotations
@@ -149,33 +147,3 @@ def xor_decrypt(ciphertext: bytes, key: bytes, nonce: bytes) -> bytes:
     """Decrypt; identical to :func:`xor_encrypt` because XOR is an involution."""
     return xor_encrypt(ciphertext, key, nonce)
 
-
-# ----------------------------------------------------------------------
-# Reference implementations (pre-optimization semantics, kept for the
-# bitwise-equivalence tests in tests/crypto/test_cipher.py)
-# ----------------------------------------------------------------------
-def _keystream_reference(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Original uncached block loop; byte-identical to :func:`keystream`."""
-    if len(key) != KEY_BYTES:
-        raise CryptoError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
-    if len(nonce) != NONCE_BYTES:
-        raise CryptoError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    if length < 0:
-        raise CryptoError("length must be >= 0")
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.blake2b(
-            nonce + counter.to_bytes(8, "big"),
-            key=key,
-            digest_size=_BLOCK_BYTES,
-        ).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
-
-
-def _xor_encrypt_reference(plaintext: bytes, key: bytes, nonce: bytes) -> bytes:
-    """Original per-byte XOR; byte-identical to :func:`xor_encrypt`."""
-    stream = _keystream_reference(key, nonce, len(plaintext))
-    return bytes(p ^ s for p, s in zip(plaintext, stream))

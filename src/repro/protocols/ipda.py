@@ -48,7 +48,7 @@ from ..core.config import IpdaConfig, RobustnessConfig
 from ..core.integrity import VerificationResult, verify_round
 from ..core.slicing import SliceAssembler, plan_slices, schedule_fanout
 from ..core.trees import role_probabilities
-from ..crypto.envelope import make_nonce, open_sealed, seal, seal_batch
+from ..crypto.envelope import make_nonce, open_sealed, seal_batch
 from ..crypto.keys import KeyManagementScheme, PairwiseKeyScheme
 from ..errors import ProtocolError
 from ..net.topology import Topology
@@ -432,48 +432,12 @@ class _IpdaNode(Node):
         target: int,
         piece: int,
         color: TreeColor,
-        seq: Optional[int] = None,
-        ciphertext: Optional[bytes] = None,
+        seq: int,
+        ciphertext: bytes,
     ):
         def fire() -> None:
-            self._send_slice(
-                target, piece, color, 1, seq=seq, ciphertext=ciphertext
-            )
-
-        return fire
-
-    def _send_slice(
-        self,
-        target: int,
-        piece: int,
-        color: TreeColor,
-        attempt: int,
-        message: Optional[SliceMessage] = None,
-        *,
-        seq: Optional[int] = None,
-        ciphertext: Optional[bytes] = None,
-    ) -> None:
-        """Transmit one slice piece, arming the ACK timer in robust mode.
-
-        ``seq``/``ciphertext``, when given, were pre-assigned and
-        batch-sealed by :meth:`begin_slicing`; the lazy per-send path
-        below produces the same bytes and is kept for direct callers.
-
-        Resends reuse the frame (stable ``frame_id``, so the receiver's
-        dedup and a late ACK still match) and always address the
-        original target: a silent target may still have received the
-        piece, and scattering it to a second aggregator would double it
-        into the tree sum.
-        """
-        assert self.keys is not None
-        if message is None:
-            if seq is None:
-                self._slice_seq += 1
-                seq = self._slice_seq
-            if ciphertext is None:
-                nonce = make_nonce(self.id, target, self.round.round_id, seq)
-                key = self.keys.link_key(self.id, target)
-                ciphertext = seal(piece, key, nonce)
+            # The frame is built at fire time, keeping frame-id
+            # allocation in send order.
             message = SliceMessage(
                 src=self.id,
                 dst=target,
@@ -482,6 +446,21 @@ class _IpdaNode(Node):
                 seq=seq,
                 ciphertext=ciphertext,
             )
+            self._send_slice(piece, 1, message)
+
+        return fire
+
+    def _send_slice(
+        self, piece: int, attempt: int, message: SliceMessage
+    ) -> None:
+        """Transmit one slice piece, arming the ACK timer in robust mode.
+
+        Resends reuse the frame (stable ``frame_id``, so the receiver's
+        dedup and a late ACK still match) and always address the
+        original target: a silent target may still have received the
+        piece, and scattering it to a second aggregator would double it
+        into the tree sum.
+        """
         self.send(message)
         if self.robust is None:
             return
@@ -493,7 +472,7 @@ class _IpdaNode(Node):
         self.round.pending_slices[frame_id] = _PendingSend(
             message=message,
             attempt=attempt,
-            tried={target},
+            tried={message.dst},
             timer=timer,
             piece=piece,
         )
@@ -508,18 +487,10 @@ class _IpdaNode(Node):
             return  # retries exhausted; this piece is lost
         message = state.message
         assert isinstance(message, SliceMessage)
-        color = message.color
-        assert color is not None
         self.round.retries_used += 1
         self.schedule(
             self._backoff(state.attempt),
-            lambda: self._send_slice(
-                message.dst,
-                state.piece,
-                color,
-                state.attempt + 1,
-                message,
-            ),
+            lambda: self._send_slice(state.piece, state.attempt + 1, message),
         )
 
     def _handle_slice(self, message: SliceMessage) -> None:

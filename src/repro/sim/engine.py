@@ -206,7 +206,7 @@ class EventEngine:
         Lower ``priority`` fires first among same-time events.  Returns
         the event handle, whose :meth:`ScheduledEvent.cancel` removes it.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -236,7 +236,7 @@ class EventEngine:
         (end-of-frame deliveries, MAC backoff timers); keep
         :meth:`schedule` where the caller needs the handle.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1

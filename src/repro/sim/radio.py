@@ -20,26 +20,27 @@ the nodes whose class handles overheard frames.
 Hot-path notes: neighbour iteration order must be sorted (it fixes the
 RNG draw order and therefore byte-for-byte reproducibility), so the
 sorted tuples are cached per node and invalidated via
-``Topology.version``.  When collisions are disabled the medium takes a
-perfect-channel fast path that skips per-receiver bookkeeping entirely
-(``_finish_fast``); with collisions enabled, in-flight frames live in a
-struct-of-arrays ledger (:class:`_InFlightFrame`: one record of
-``(start, end, receivers, ruin map)`` per frame) so half-duplex and
-overlap ruin are O(1) probes per *frame pair* instead of
-per-receiver Python objects, and end-of-frame resolution draws all
-Bernoulli losses in one ``rng.random(k)`` call and accounts the whole
-fan-out through the batch trace APIs.  Both shortcuts are observably
-identical to the historical per-:class:`Reception` loop (same receiver
-order, same RNG stream, same trace records), which
-``tests/sim/test_radio_fastpath.py`` and
-``tests/sim/test_radio_collisions_batch.py`` assert by running the
-retained legacy resolver (``_force_legacy_collisions``) side by side.
+``Topology.version``.  With collisions enabled, in-flight frames live
+in a struct-of-arrays ledger (:class:`_InFlightFrame`: one record of
+``(end, receivers, ruin map)`` per frame), so half-duplex and overlap
+ruin are O(1) probes per *frame pair* instead of per-receiver Python
+objects.  Every frame ends in one resolver, :meth:`RadioMedium._resolve`:
+a ledger frame once it is taken off the ledger, a collisions-off frame
+straight from its sender's cached receiver tuple, with no ledger record
+at all.  The resolver draws all Bernoulli losses in one
+``rng.random(k)`` call and accounts the whole fan-out through the batch
+trace APIs.  All of this is observably identical to concluding each
+(frame, receiver) reception on its own — same receiver order, same RNG
+stream, same trace records — which ``tests/sim/test_radio_fastpath.py``
+and ``tests/sim/test_radio_collisions_batch.py`` assert against that
+per-reception resolver, kept as a test oracle in
+``tests/radio_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .engine import EventEngine
 from .messages import Message
 from .trace import DropReason, FrameRecord, TraceCollector
 
-__all__ = ["RadioConfig", "RadioMedium", "Reception"]
+__all__ = ["RadioConfig", "RadioMedium"]
 
 #: Paper's simulated data rate (Section IV-B): 1 Mbps.
 PAPER_DATA_RATE_BPS: float = 1_000_000.0
@@ -62,6 +63,18 @@ PAPER_DATA_RATE_BPS: float = 1_000_000.0
 _RUIN_NONE = 0
 _RUIN_HALF_DUPLEX = 1
 _RUIN_COLLISION = 2
+#: Outcome codes the resolver adds beyond the ruin codes.
+_CODE_DEAD = 3
+_CODE_RANDOM_LOSS = 4
+_CODE_BURST_LOSS = 5
+
+_CODE_REASON = {
+    _RUIN_HALF_DUPLEX: DropReason.HALF_DUPLEX,
+    _RUIN_COLLISION: DropReason.COLLISION,
+    _CODE_DEAD: DropReason.RECEIVER_DEAD,
+    _CODE_RANDOM_LOSS: DropReason.RANDOM_LOSS,
+    _CODE_BURST_LOSS: DropReason.BURST_LOSS,
+}
 
 #: Ledger size at which the transmit-time pair screen switches from a
 #: scalar Python loop to one vectorized pass over the ``_if_*``
@@ -69,11 +82,6 @@ _RUIN_COLLISION = 2
 #: scalar loop, which beats numpy's fixed call overhead below roughly
 #: this many live frames.
 _VECTOR_SCAN_MIN = 24
-
-_RUIN_REASON = {
-    _RUIN_HALF_DUPLEX: DropReason.HALF_DUPLEX,
-    _RUIN_COLLISION: DropReason.COLLISION,
-}
 
 
 @dataclass
@@ -99,44 +107,14 @@ class RadioConfig:
     propagation_delay: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.data_rate_bps <= 0:
+        # Written as negated comparisons so NaN, which fails every
+        # comparison, is rejected too.
+        if not self.data_rate_bps > 0:
             raise SimulationError("data_rate_bps must be positive")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise SimulationError("loss_probability must be in [0, 1]")
-        if self.propagation_delay < 0:
+        if not self.propagation_delay >= 0:
             raise SimulationError("propagation_delay must be >= 0")
-
-
-@dataclass(slots=True)
-class Reception:
-    """An in-flight frame as experienced by one receiver (legacy model).
-
-    Only the retained legacy resolver allocates these; the production
-    collision path keeps one :class:`_InFlightFrame` per frame instead.
-    """
-
-    message: Message
-    receiver: int
-    start: float
-    end: float
-    collided: bool = False
-    #: the cause recorded when ``collided`` was first set.
-    ruin_reason: Optional[str] = None
-    record: Optional[FrameRecord] = None
-    #: position inside ``RadioMedium._active_receptions[receiver]`` so
-    #: conclusion can swap-pop instead of an O(n) list.remove.
-    _active_index: int = -1
-
-
-@dataclass(slots=True)
-class _Transmission:
-    """An in-flight frame as produced by its sender (legacy model)."""
-
-    message: Message
-    sender: int
-    start: float
-    end: float
-    receptions: List[Reception] = field(default_factory=list)
 
 
 @dataclass(slots=True, eq=False)
@@ -157,7 +135,6 @@ class _InFlightFrame:
 
     message: Message
     sender: int
-    start: float
     end: float
     sx: float
     sy: float
@@ -242,19 +219,16 @@ class RadioMedium:
         #: sense on an idle channel).
         self._tx_count = 0
         #: the in-flight ledger: one struct-of-arrays record per frame
-        #: on the air (collision path only; the perfect-channel fast
-        #: path never touches it).  The parallel ``_if_*`` columns
-        #: mirror the list index-for-index so a crowded ledger can be
-        #: screened in one vectorized pass; removal swap-pops, which is
-        #: safe because ruin marks are idempotent first-cause-wins and
+        #: on the air (collisions enabled only; a collisions-off frame
+        #: never has a record).  The parallel ``_if_*`` columns mirror
+        #: the list index-for-index so a crowded ledger can be screened
+        #: in one vectorized pass; removal swap-pops, which is safe
+        #: because ruin marks are idempotent first-cause-wins and
         #: therefore insensitive to ledger order.
         self._in_flight: List[_InFlightFrame] = []
         self._if_end = np.empty(16)
         self._if_x = np.empty(16)
         self._if_y = np.empty(16)
-        #: legacy per-receiver bookkeeping, used only when
-        #: ``_force_legacy_collisions`` is set by equivalence tests.
-        self._active_receptions: Dict[int, List[Reception]] = {}
         #: optional per-link loss process installed by the fault layer.
         self.loss_model: Optional[LossModelFn] = None
         #: optional liveness probe; ``None`` means every node is up, so
@@ -284,20 +258,10 @@ class RadioMedium:
         #: frames provably cannot interact.
         self._coords = topology.coords
         self._pair_reject_sq = (2.0 * topology.radio_range) ** 2
-        #: frames concluded by the perfect-channel fast path vs the
-        #: generic collision-aware path (observability counters).
+        #: frames resolved without a ledger record (collisions off) vs
+        #: off the in-flight ledger (observability counters).
         self.fast_path_frames = 0
         self.generic_frames = 0
-        #: test hook — when True the perfect-channel fast path is
-        #: disabled so equivalence tests can diff it against the
-        #: generic resolver.  Set it before the first transmit; the
-        #: paths do not share in-flight bookkeeping.
-        self._force_generic_finish = False
-        #: test hook — when True the generic path uses the retained
-        #: per-Reception legacy resolver instead of the batch ledger,
-        #: so the differential suite can run old and new resolution
-        #: side by side.  Set it before the first transmit.
-        self._force_legacy_collisions = False
 
     def _check_neighbor_caches(self) -> None:
         if self._neighbor_cache_version != self.topology.version:
@@ -401,18 +365,13 @@ class RadioMedium:
         record = self.trace.record_send(now, message)
         receivers = self._sorted_neighbors(sender)
 
-        if self._force_legacy_collisions:
-            return self._transmit_legacy(
-                message, sender, start, end, record, receivers
-            )
-
-        if not config.collisions_enabled and not self._force_generic_finish:
-            # Perfect channel: no frame can collide, so skip the
-            # in-flight ledger and conclude straight from the cached
-            # neighbour tuple at end-of-frame.
+        if not config.collisions_enabled:
+            # Perfect channel: no frame can collide, so no ledger
+            # record; end-of-frame resolves straight from the cached
+            # neighbour tuple.
             self.engine.post_at(
                 end,
-                lambda: self._finish_fast(message, receivers, record),
+                lambda: self._resolve(message, record, receivers),
                 priority=-1,
             )
             return end
@@ -421,7 +380,6 @@ class RadioMedium:
         entry = _InFlightFrame(
             message=message,
             sender=sender,
-            start=start,
             end=end,
             sx=float(coords[sender, 0]),
             sy=float(coords[sender, 1]),
@@ -434,7 +392,7 @@ class RadioMedium:
         )
 
         in_flight = self._in_flight
-        if config.collisions_enabled and in_flight:
+        if in_flight:
             self._flag_interactions(entry, start, sender)
         slot = len(in_flight)
         if slot == len(self._if_end):
@@ -455,11 +413,10 @@ class RadioMedium:
     ) -> None:
         """Flag every ruin the new frame causes or suffers at transmit time.
 
-        Two passes over the in-flight ledger so that, exactly like the
-        legacy per-reception checks, half-duplex ruin is recorded
-        before overlap ruin at any slot eligible for both (first cause
-        wins).  Pair tests are O(1) hash probes behind a spatial
-        reject: senders further apart than twice the radio range
+        Two passes over the in-flight ledger so that half-duplex ruin is
+        recorded before overlap ruin at any slot eligible for both
+        (first cause wins).  Pair tests are O(1) hash probes behind a
+        spatial reject: senders further apart than twice the radio range
         provably share no receiver and cannot hear each other under the
         disc model, so the test for the overwhelmingly common far-apart
         pair of a large deployment is two float multiplies.  At the
@@ -495,8 +452,7 @@ class RadioMedium:
             for other in in_flight:
                 if other.end <= start:
                     # Ends at/before this frame's first bit arrives
-                    # (overlap tests are strict, matching the legacy
-                    # per-reception comparisons).
+                    # (overlap tests are strict).
                     continue
                 dx = other.sx - sx
                 dy = other.sy - sy
@@ -543,18 +499,11 @@ class RadioMedium:
                 if receiver not in other_ruin:
                     other_ruin[receiver] = _RUIN_COLLISION
 
+    # ------------------------------------------------------------------
+    # End of frame
+    # ------------------------------------------------------------------
     def _finish_entry(self, entry: _InFlightFrame) -> None:
-        """Batch end-of-frame resolution for one ledger record.
-
-        Observably identical to the legacy per-:class:`Reception` loop
-        (``_finish_transmission``): same receiver order, same
-        ``node_alive``/``loss_model`` call sequences, same single
-        ``rng.random(k)`` Bernoulli draw over the eligible receivers,
-        same trace records.  Like ``_finish_fast``, outcome resolution
-        is hoisted ahead of the deliver callbacks — safe because nodes
-        draw from their own per-node streams, never the radio's.
-        """
-        self.generic_frames += 1
+        """Take ``entry`` off the in-flight ledger, then resolve it."""
         in_flight = self._in_flight
         last = len(in_flight) - 1
         for index, other in enumerate(in_flight):
@@ -569,94 +518,95 @@ class RadioMedium:
                     self._if_y[index] = self._if_y[last]
                 in_flight.pop()
                 break
-        self._tx_until[entry.sender] = -np.inf
-        self._tx_count -= 1
+        self._resolve(entry.message, entry.record, entry.receivers, entry)
 
-        message = entry.message
-        record = entry.record
-        receivers = entry.receivers
-        trace = self.trace
-        dst = message.dst
-        is_broadcast = message.is_broadcast
+    def _resolve(
+        self,
+        message: Message,
+        record: Optional[FrameRecord],
+        receivers: Tuple[int, ...],
+        entry: Optional[_InFlightFrame] = None,
+    ) -> None:
+        """End-of-frame resolution of one frame over its receiver tuple.
+
+        ``entry`` is the frame's ledger record, already off the ledger,
+        whose ruin map holds the receptions ruined at transmit time; a
+        collisions-off frame has none.  The surviving receptions then
+        face the drop checks in order — alive, Bernoulli, loss model —
+        each over the receivers the previous check left, in receiver
+        order.  The Bernoulli losses are ONE vectorized ``random(k)``
+        call, elementwise- and state-identical to ``k`` scalar draws,
+        and the fan-out is accounted through the batch trace APIs, so a
+        10^4-neighbour broadcast costs one draw and one aggregate
+        counter update.  Resolving every outcome ahead of the deliver
+        callbacks is safe because nodes draw from their own per-node
+        streams, never the radio's, and the per-link loss model keeps
+        independent per-link generators.
+        """
+        self._tx_until[message.src] = -np.inf
+        self._tx_count -= 1
+        if entry is None:
+            self.fast_path_frames += 1
+            ruin: Dict[int, int] = {}
+            reach: Collection[int] = receivers
+        else:
+            self.generic_frames += 1
+            ruin = entry.ruin
+            reach = entry.receiver_set
         node_alive = self.node_alive
         loss_model = self.loss_model
         loss_p = self.config.loss_probability
 
-        ruin_map = entry.ruin
         if (
-            not ruin_map
+            not ruin
             and node_alive is None
             and loss_model is None
             and loss_p == 0.0
         ):
-            # Nothing can drop: resolve the whole fan-out as delivered.
-            self._record_deliveries(
-                message,
-                record,
-                receivers,
-                is_broadcast,
-                dst,
-                addressee_decoded=True
-                if is_broadcast or dst in entry.receiver_set
-                else None,
-            )
+            # Nothing can drop — the path a 10^5-node perfect-channel
+            # run takes: every receiver decodes, nothing draws.
+            self._record_deliveries(message, record, receivers, reach)
             return
 
-        if len(ruin_map) == entry.n_receivers:
+        if len(ruin) == len(receivers):
             # Every reception was ruined at flag time (a saturated
             # storm): nothing survives to probe liveness, draw loss, or
-            # consult the loss model — exactly as in the legacy loop,
-            # which only runs those for non-ruined receptions.  Emit
-            # the drops straight from the ruin map, in receiver order.
-            trace.record_drop_batch(
+            # consult the loss model.  Emit the drops straight from the
+            # ruin map, in receiver order.
+            self.trace.record_drop_batch(
                 record,
                 message,
                 [
-                    (receiver, _RUIN_REASON[ruin_map[receiver]])
+                    (receiver, _CODE_REASON[ruin[receiver]])
                     for receiver in receivers
                 ],
             )
-            self._record_deliveries(
-                message,
-                record,
-                (),
-                is_broadcast,
-                dst,
-                addressee_decoded=True
-                if is_broadcast
-                else (False if dst in entry.receiver_set else None),
-            )
+            self._record_deliveries(message, record, (), reach)
             return
 
         # Outcome codes per slot: 0 = delivered, otherwise the drop
         # reason.  Start from the ruin causes recorded at flag time.
-        code = np.zeros(entry.n_receivers, dtype=np.int8)
-        if ruin_map:
+        code = np.zeros(len(receivers), dtype=np.int8)
+        if ruin:
             slot_index = entry.slot_index
-            for receiver, cause in ruin_map.items():
+            for receiver, cause in ruin.items():
                 code[slot_index[receiver]] = cause
         if node_alive is not None:
             # Liveness probes only for the non-ruined receivers, in
-            # receiver order — the exact call pattern of the legacy
-            # pre-pass.
-            if ruin_map:
-                dead = [
-                    slot
-                    for slot in np.flatnonzero(code == _RUIN_NONE)
-                    if not node_alive(receivers[slot])
-                ]
-            else:
-                dead = [
-                    slot
-                    for slot, receiver in enumerate(receivers)
-                    if not node_alive(receiver)
-                ]
+            # receiver order.
+            dead = [
+                slot
+                for slot in (
+                    np.flatnonzero(code == _RUIN_NONE)
+                    if ruin
+                    else range(len(receivers))
+                )
+                if not node_alive(receivers[slot])
+            ]
             if dead:
                 code[dead] = _CODE_DEAD
         eligible = np.flatnonzero(code == _RUIN_NONE)
         if loss_p > 0.0 and len(eligible):
-            # ONE vectorized draw for every eligible receiver —
-            # elementwise- and state-identical to k scalar draws.
             draws = self._rng.random(len(eligible))
             lost = eligible[draws < loss_p]
             if len(lost):
@@ -670,7 +620,7 @@ class RadioMedium:
 
         dropped_slots = np.flatnonzero(code)
         if len(dropped_slots):
-            trace.record_drop_batch(
+            self.trace.record_drop_batch(
                 record,
                 message,
                 [
@@ -678,17 +628,11 @@ class RadioMedium:
                     for slot in dropped_slots
                 ],
             )
-        if dst in entry.receiver_set:
-            addressee_decoded = bool(code[entry.slot_index[dst]] == _RUIN_NONE)
-        else:
-            addressee_decoded = None
         self._record_deliveries(
             message,
             record,
             [receivers[slot] for slot in np.flatnonzero(code == _RUIN_NONE)],
-            is_broadcast,
-            dst,
-            addressee_decoded=addressee_decoded,
+            reach,
         )
 
     def _record_deliveries(
@@ -696,340 +640,39 @@ class RadioMedium:
         message: Message,
         record: Optional[FrameRecord],
         delivered,
-        is_broadcast: bool,
-        dst: int,
-        addressee_decoded: Optional[bool] = True,
+        reach: Collection[int],
     ) -> None:
-        """Account and dispatch the delivered fan-out, then notify.
+        """Account and dispatch the decoded fan-out, then notify.
 
-        ``delivered`` is the decoded subset in receiver order;
-        ``addressee_decoded`` the unicast ACK outcome (``None`` when the
-        addressee is out of radio range — recorded as NO_RECEIVER);
-        broadcasts always acknowledge.  A decoded unicast frame is
+        ``delivered`` is the decoded subset of the sender's receivers
+        ``reach``, in receiver order.  A decoded unicast frame is
         dispatched to its addressee and to the bystanders in
-        :attr:`overhearers`, in receiver order — the rule the legacy
-        :meth:`_conclude_reception` applies per reception.
+        :attr:`overhearers`, in receiver order; the sender learns
+        whether the addressee decoded it, and a unicast to a node out
+        of radio range is recorded as NO_RECEIVER.  Broadcasts always
+        acknowledge.
         """
         trace = self.trace
         deliver = self._deliver
-        if is_broadcast:
+        if message.is_broadcast:
             trace.record_delivery_batch(record, message, delivered)
             for receiver in delivered:
                 deliver(receiver, message, True)
             if self._notify_sender is not None:
                 self._notify_sender(message, True)
             return
+        dst = message.dst
         overhearers = self.overhearers
+        decoded = False
         for receiver in delivered:
             if receiver == dst:
+                decoded = True
                 trace.record_delivery(record, message, receiver)
                 deliver(receiver, message, True)
             elif overhearers is None or receiver in overhearers:
                 deliver(receiver, message, False)
-        if addressee_decoded is None:
+        if dst not in reach:
             # Unicast to a node outside radio range: nobody to decode it.
             trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
         if self._notify_sender is not None:
-            self._notify_sender(message, bool(addressee_decoded))
-
-    # ------------------------------------------------------------------
-    # Legacy per-reception resolver (equivalence-test oracle)
-    # ------------------------------------------------------------------
-    def _transmit_legacy(
-        self,
-        message: Message,
-        sender: int,
-        start: float,
-        end: float,
-        record: Optional[FrameRecord],
-        receivers: Tuple[int, ...],
-    ) -> float:
-        """The historical Reception-object collision path, kept so the
-        differential suite can prove the ledger byte-identical."""
-        config = self.config
-        transmission = _Transmission(
-            message=message, sender=sender, start=start, end=end
-        )
-
-        if config.collisions_enabled:
-            # Half-duplex: anything the sender was receiving is ruined.
-            for reception in self._active_receptions.get(sender, []):
-                if reception.end > start and not reception.collided:
-                    reception.collided = True
-                    reception.ruin_reason = DropReason.HALF_DUPLEX
-
-        active_map = self._active_receptions
-        for receiver in receivers:
-            reception = Reception(
-                message=message,
-                receiver=receiver,
-                start=start,
-                end=end,
-                record=record,
-            )
-            if config.collisions_enabled:
-                self._apply_collisions(reception)
-            transmission.receptions.append(reception)
-            active = active_map.get(receiver)
-            if active is None:
-                active = active_map[receiver] = []
-            reception._active_index = len(active)
-            active.append(reception)
-
-        self.engine.post_at(
-            end, lambda: self._finish_transmission(transmission), priority=-1
-        )
-        return end
-
-    def _apply_collisions(self, reception: Reception) -> None:
-        receiver = reception.receiver
-        # Receiver busy sending: the incoming frame is unreadable.
-        if self._tx_until[receiver] > reception.start:
-            reception.collided = True
-            reception.ruin_reason = DropReason.HALF_DUPLEX
-        # Overlap with any other in-flight frame at this receiver ruins both.
-        for other in self._active_receptions.get(receiver, []):
-            if other.end > reception.start:
-                if not other.collided:
-                    other.collided = True
-                    other.ruin_reason = DropReason.COLLISION
-                if not reception.collided:
-                    reception.collided = True
-                    reception.ruin_reason = DropReason.COLLISION
-
-    def _finish_transmission(self, transmission: _Transmission) -> None:
-        message = transmission.message
-        self.generic_frames += 1
-        self._tx_until[transmission.sender] = -np.inf
-        self._tx_count -= 1
-        addressee_got_it = message.is_broadcast
-        addressee_seen = message.is_broadcast
-        active_map = self._active_receptions
-        receptions = transmission.receptions
-        # Hoist the Bernoulli losses into ONE vectorized draw for the
-        # receptions that reach the loss stage (not collided, alive) —
-        # stream-identical to the historical per-reception scalar
-        # draws.  The pre-pass sees exactly what the loop would:
-        # collision flags are frozen by end-of-frame (overlap tests
-        # are strict, so a frame starting `now` cannot retro-collide
-        # one ending `now`) and liveness only changes through
-        # scheduled fault events, never mid-event.
-        loss_p = self.config.loss_probability
-        node_alive = self.node_alive
-        eligible = None
-        draws = None
-        if loss_p > 0.0 and receptions:
-            eligible = [
-                not r.collided
-                and (node_alive is None or node_alive(r.receiver))
-                for r in receptions
-            ]
-            drawn = sum(eligible)
-            if drawn:
-                draws = self._rng.random(drawn)
-        draw_index = 0
-        for slot, reception in enumerate(receptions):
-            active = active_map.get(reception.receiver)
-            if active is not None:
-                # Swap-pop using the reception's recorded slot; order
-                # inside the active list is immaterial (collision
-                # checks only set flags).
-                index = reception._active_index
-                last = active[-1]
-                if last is not reception:
-                    active[index] = last
-                    last._active_index = index
-                active.pop()
-                if not active:
-                    del active_map[reception.receiver]
-            if eligible is None:
-                decoded = self._conclude_reception(reception, message)
-            elif eligible[slot]:
-                loss_draw = float(draws[draw_index])
-                draw_index += 1
-                decoded = self._conclude_reception(
-                    reception, message, alive=True, loss_draw=loss_draw
-                )
-            else:
-                decoded = self._conclude_reception(
-                    reception,
-                    message,
-                    alive=False if not reception.collided else None,
-                )
-            if not message.is_broadcast and reception.receiver == message.dst:
-                addressee_seen = True
-                addressee_got_it = decoded
-        if not addressee_seen:
-            # Unicast to a node outside radio range: nobody to decode it.
-            self.trace.record_drop(
-                None, message, message.dst, DropReason.NO_RECEIVER
-            )
-        if self._notify_sender is not None:
-            self._notify_sender(message, addressee_got_it)
-
-    def _finish_fast(
-        self,
-        message: Message,
-        receivers: Tuple[int, ...],
-        record: Optional[FrameRecord],
-    ) -> None:
-        """Perfect-channel end-of-frame, resolved for the whole receiver set.
-
-        Must stay observably identical to the generic resolvers with
-        ``collided`` always False: same receiver order, same drop-check
-        order (alive -> Bernoulli -> loss model), same trace-record
-        contents, same RNG stream.  The Bernoulli losses for the alive
-        receivers are ONE vectorized ``random(k)`` call — elementwise-
-        and state-identical to ``k`` scalar draws — and broadcast
-        deliveries go through
-        :meth:`TraceCollector.record_delivery_batch`, so a
-        10^4-neighbour broadcast costs one draw and one aggregate
-        counter update, not 10^4 of each.  Hoisting the draws ahead of
-        the deliver callbacks is safe because nodes draw from their own
-        per-node streams, never the radio's, and the per-link loss
-        model keeps independent per-link generators.
-        """
-        self.fast_path_frames += 1
-        self._tx_until[message.src] = -np.inf
-        self._tx_count -= 1
-        src = message.src
-        dst = message.dst
-        is_broadcast = message.is_broadcast
-        trace = self.trace
-        node_alive = self.node_alive
-        loss_model = self.loss_model
-        loss_p = self.config.loss_probability
-
-        if node_alive is None and loss_model is None and loss_p == 0.0:
-            # Lossless channel — the path a 10^5-node scale run takes:
-            # every neighbour decodes, nothing draws, nothing drops.
-            self._record_deliveries(
-                message,
-                record,
-                receivers,
-                is_broadcast,
-                dst,
-                addressee_decoded=True
-                if is_broadcast or dst in receivers
-                else None,
-            )
-            return
-
-        # Faulty channel: drops must be recorded in receiver order, so
-        # resolve outcomes receiver-by-receiver — but batch the draws.
-        if node_alive is None:
-            alive_flags = None
-            n_alive = len(receivers)
-        else:
-            alive_flags = [node_alive(receiver) for receiver in receivers]
-            n_alive = sum(alive_flags)
-        draws = (
-            self._rng.random(n_alive) if loss_p > 0.0 and n_alive else None
-        )
-        now = self.engine.now
-        # The unicast ACK outcome; None while the addressee is unseen.
-        addressee_decoded = True if is_broadcast else None
-        delivered: List[int] = []
-        draw_index = 0
-        for slot, receiver in enumerate(receivers):
-            if alive_flags is not None and not alive_flags[slot]:
-                trace.record_drop(
-                    record, message, receiver, DropReason.RECEIVER_DEAD
-                )
-                decoded = False
-            else:
-                if draws is not None:
-                    lost = draws[draw_index] < loss_p
-                    draw_index += 1
-                else:
-                    lost = False
-                if lost:
-                    trace.record_drop(
-                        record, message, receiver, DropReason.RANDOM_LOSS
-                    )
-                    decoded = False
-                elif loss_model is not None and loss_model(
-                    src, receiver, now
-                ):
-                    trace.record_drop(
-                        record, message, receiver, DropReason.BURST_LOSS
-                    )
-                    decoded = False
-                else:
-                    delivered.append(receiver)
-                    decoded = True
-            if receiver == dst:
-                addressee_decoded = decoded
-        self._record_deliveries(
-            message,
-            record,
-            delivered,
-            is_broadcast,
-            dst,
-            addressee_decoded=addressee_decoded,
-        )
-
-    def _conclude_reception(
-        self,
-        reception: Reception,
-        message: Message,
-        alive: Optional[bool] = None,
-        loss_draw: Optional[float] = None,
-    ) -> bool:
-        """Conclude one reception; returns True when it was decoded.
-
-        ``alive``/``loss_draw``, when given, carry outcomes precomputed
-        by the batch pre-pass in :meth:`_finish_transmission` (one
-        liveness probe, one vectorized draw) so they are not redone here.
-        """
-        receiver = reception.receiver
-        if reception.collided:
-            # The ruin cause was recorded when the reception was
-            # flagged; re-deriving it here from is_transmitting() at
-            # end-of-frame misattributed half-duplex ruins whose
-            # blocking transmission had already ended.
-            reason = reception.ruin_reason or DropReason.COLLISION
-            self.trace.record_drop(reception.record, message, receiver, reason)
-            return False
-        if alive is None:
-            alive = self.node_alive is None or self.node_alive(receiver)
-        if not alive:
-            self.trace.record_drop(
-                reception.record, message, receiver, DropReason.RECEIVER_DEAD
-            )
-            return False
-        loss_p = self.config.loss_probability
-        if loss_p > 0.0:
-            draw = self._rng.random() if loss_draw is None else loss_draw
-            if draw < loss_p:
-                self.trace.record_drop(
-                    reception.record, message, receiver, DropReason.RANDOM_LOSS
-                )
-                return False
-        if self.loss_model is not None and self.loss_model(
-            message.src, receiver, self.engine.now
-        ):
-            self.trace.record_drop(
-                reception.record, message, receiver, DropReason.BURST_LOSS
-            )
-            return False
-        if message.is_broadcast or message.dst == receiver:
-            self.trace.record_delivery(reception.record, message, receiver)
-            self._deliver(receiver, message, True)
-        elif self.overhearers is None or receiver in self.overhearers:
-            self._deliver(receiver, message, False)
-        return True
-
-
-#: Outcome codes used by the batch resolver beyond the ruin codes.
-_CODE_DEAD = 3
-_CODE_RANDOM_LOSS = 4
-_CODE_BURST_LOSS = 5
-
-_CODE_REASON = {
-    _RUIN_HALF_DUPLEX: DropReason.HALF_DUPLEX,
-    _RUIN_COLLISION: DropReason.COLLISION,
-    _CODE_DEAD: DropReason.RECEIVER_DEAD,
-    _CODE_RANDOM_LOSS: DropReason.RANDOM_LOSS,
-    _CODE_BURST_LOSS: DropReason.BURST_LOSS,
-}
+            self._notify_sender(message, decoded)

@@ -21,6 +21,7 @@ from repro.sim.messages import BROADCAST, HelloMessage
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.radio import RadioConfig
+from tests.radio_oracle import install_reception_oracle
 
 
 def _seen(node: Node, message) -> tuple:
@@ -169,7 +170,8 @@ def _run(cls, scenario, *, check_steps: bool):
         keep_frames=True,
     )
     radio = network.radio
-    radio._force_legacy_collisions = scenario["resolver"] == "legacy"
+    if scenario["resolver"] == "legacy":
+        install_reception_oracle(radio)
     if scenario["burst"]:
         radio.loss_model = lambda src, dst, now: (src * 7 + dst) % 5 == 0
     engine = network.engine

@@ -47,6 +47,20 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN event would fire first at now = NaN, then the clock
+        # would jump forward to the next real event.
+        engine = EventEngine()
+        for schedule in (
+            engine.schedule,
+            engine.post,
+            engine.schedule_at,
+            engine.post_at,
+        ):
+            with pytest.raises(SimulationError):
+                schedule(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+
     def test_schedule_at_absolute_time(self):
         engine = EventEngine()
         seen = []

@@ -159,6 +159,12 @@ class TestRandomLoss:
             RadioConfig(data_rate_bps=0)
         with pytest.raises(SimulationError):
             RadioConfig(propagation_delay=-1.0)
+        # NaN fails every comparison; accepted, it delivered frames at
+        # time NaN and left the engine clock at NaN.
+        with pytest.raises(SimulationError):
+            RadioConfig(data_rate_bps=float("nan"))
+        with pytest.raises(SimulationError):
+            RadioConfig(propagation_delay=float("nan"))
 
 
 class TestChannelSensing:

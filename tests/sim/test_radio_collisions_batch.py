@@ -6,10 +6,10 @@ the whole fan-out at end-of-frame in vectorized batches.  That rewrite
 is only legal if it is *observably identical* to the historical
 per-``Reception`` loop: same deliveries in the same order, same drop
 records and reasons, same RNG draw sequence, same sender feedback.
-These tests run identical workloads down both resolvers (via the
-``_force_legacy_collisions`` hook, which retains the old code path) and
-diff everything the simulator can observe — plus regression tests for
-the drop-reason misattribution bug fixed in the same PR.
+These tests run identical workloads down both resolvers (the old one is
+kept as the test oracle in ``tests/radio_oracle.py``) and diff
+everything the simulator can observe — plus regression tests for the
+drop-reason misattribution bug fixed alongside the ledger.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.sim.engine import EventEngine
 from repro.sim.messages import BROADCAST, HelloMessage
 from repro.sim.radio import RadioConfig, RadioMedium
 from repro.sim.trace import DropReason, TraceCollector
+from tests.radio_oracle import install_reception_oracle
 
 
 class CollisionRun:
@@ -37,7 +38,7 @@ class CollisionRun:
     def __init__(
         self,
         *,
-        force_legacy: bool,
+        oracle: bool,
         loss_probability: float = 0.0,
         dead_nodes=(),
         loss_model=None,
@@ -69,7 +70,8 @@ class CollisionRun:
             notify_sender=self._on_feedback,
             node_alive=(lambda nid: nid not in dead) if dead else None,
         )
-        self.radio._force_legacy_collisions = force_legacy
+        if oracle:
+            install_reception_oracle(self.radio)
         if loss_model is not None:
             self.radio.loss_model = loss_model
         self._remaining = {
@@ -102,8 +104,8 @@ class CollisionRun:
 
 
 def _assert_equivalent(**kwargs):
-    batch = CollisionRun(force_legacy=False, **kwargs)
-    legacy = CollisionRun(force_legacy=True, **kwargs)
+    batch = CollisionRun(oracle=False, **kwargs)
+    legacy = CollisionRun(oracle=True, **kwargs)
     # Every observable the simulator exposes must match bit-for-bit.
     assert batch.delivered == legacy.delivered
     assert batch.feedback == legacy.feedback
@@ -162,12 +164,12 @@ class TestBatchResolverEquivalence:
             return model
 
         batch = CollisionRun(
-            force_legacy=False,
+            oracle=False,
             loss_probability=0.15,
             loss_model=model_factory(calls_batch),
         )
         legacy = CollisionRun(
-            force_legacy=True,
+            oracle=True,
             loss_probability=0.15,
             loss_model=model_factory(calls_legacy),
         )
@@ -224,7 +226,8 @@ class TestBoundaryScenarios:
         results = []
         for legacy in (False, True):
             engine, radio, trace = _bare_radio()
-            radio._force_legacy_collisions = legacy
+            if legacy:
+                install_reception_oracle(radio)
             for time, src, dst in schedule:
                 engine.schedule(
                     time,
@@ -291,19 +294,22 @@ class TestBoundaryScenarios:
         assert trace.delivered_count["hello"] == 2
 
     def test_ledger_empty_after_run(self):
-        engine, radio, trace = _bare_radio()
-        for src in (0, 1, 2, 3, 4):
-            engine.schedule(
-                AIRTIME * 0.3 * src,
-                lambda src=src: radio.transmit(
-                    HelloMessage(src=src, dst=BROADCAST)
-                ),
-            )
-        engine.run()
-        assert radio._in_flight == []
-        assert not (radio._tx_until > -np.inf).any()
-        assert radio._tx_count == 0
-        assert radio._active_receptions == {}
+        for legacy in (False, True):
+            engine, radio, trace = _bare_radio()
+            oracle = install_reception_oracle(radio) if legacy else None
+            for src in (0, 1, 2, 3, 4):
+                engine.schedule(
+                    AIRTIME * 0.3 * src,
+                    lambda src=src: radio.transmit(
+                        HelloMessage(src=src, dst=BROADCAST)
+                    ),
+                )
+            engine.run()
+            assert radio._in_flight == []
+            assert not (radio._tx_until > -np.inf).any()
+            assert radio._tx_count == 0
+            if oracle is not None:
+                assert oracle.active_receptions == {}
 
 
 class TestDropReasonRegression:
@@ -323,7 +329,8 @@ class TestDropReasonRegression:
         # idle by the *end* of node 1's frame — the pre-fix code
         # therefore mislabeled this drop COLLISION.
         engine, radio, trace = _bare_radio()
-        radio._force_legacy_collisions = legacy
+        if legacy:
+            install_reception_oracle(radio)
         engine.schedule(
             0.0, lambda: radio.transmit(HelloMessage(src=2, dst=BROADCAST))
         )
@@ -349,7 +356,8 @@ class TestDropReasonRegression:
         # also overlap each other there: first cause (half-duplex) wins
         # over the later collision ruin.
         engine, radio, trace = _bare_radio()
-        radio._force_legacy_collisions = legacy
+        if legacy:
+            install_reception_oracle(radio)
         engine.schedule(
             0.0, lambda: radio.transmit(HelloMessage(src=2, dst=BROADCAST))
         )

@@ -1,13 +1,14 @@
-"""Equivalence and bookkeeping tests for the radio's perfect-channel
-fast path.
+"""Equivalence and bookkeeping tests for the radio's perfect channel.
 
-With collisions disabled the medium skips the per-receiver Reception
-objects entirely (``_finish_fast``).  That shortcut is only legal if it
-is *observably identical* to the general path: same deliveries in the
-same order, same drop records, same RNG draw sequence, same sender
-feedback.  These tests run identical workloads down both paths (via the
-``_force_generic_finish`` hook) and diff everything the simulator can
-observe.
+With collisions disabled a frame never enters the in-flight ledger: its
+end-of-frame resolution runs straight off the sender's cached receiver
+tuple.  That shortcut is only legal if it is *observably identical* to
+concluding every (frame, receiver) reception on its own: same
+deliveries in the same order, same drop records, same RNG draw
+sequence, same sender feedback.  These tests run identical workloads
+through the production radio and through the per-reception resolver
+kept in ``tests/radio_oracle.py``, and diff everything the simulator
+can observe.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.sim.engine import EventEngine
 from repro.sim.messages import BROADCAST, HelloMessage
 from repro.sim.radio import RadioConfig, RadioMedium
 from repro.sim.trace import DropReason, TraceCollector
+from tests.radio_oracle import install_reception_oracle
 
 
 class Run:
@@ -28,9 +30,10 @@ class Run:
     def __init__(
         self,
         *,
-        force_generic: bool,
+        oracle: bool,
         loss_probability: float = 0.0,
         dead_nodes=(),
+        liveness_probe: bool = True,
         loss_model=None,
         keep_frames: bool = True,
         frames_per_node: int = 4,
@@ -56,9 +59,11 @@ class Run:
                 collisions_enabled=False, loss_probability=loss_probability
             ),
             notify_sender=self._on_feedback,
-            node_alive=lambda nid: nid not in dead,
+            node_alive=(
+                (lambda nid: nid not in dead) if liveness_probe else None
+            ),
         )
-        self.radio._force_generic_finish = force_generic
+        self.oracle = install_reception_oracle(self.radio) if oracle else None
         if loss_model is not None:
             self.radio.loss_model = loss_model
         self._remaining = {
@@ -87,30 +92,32 @@ class Run:
 
 
 def _assert_equivalent(**kwargs):
-    fast = Run(force_generic=False, **kwargs)
-    generic = Run(force_generic=True, **kwargs)
+    fast = Run(oracle=False, **kwargs)
+    reference = Run(oracle=True, **kwargs)
     # Every observable the simulator exposes must match bit-for-bit.
-    assert fast.delivered == generic.delivered
-    assert fast.feedback == generic.feedback
-    assert fast.trace.summary() == generic.trace.summary()
-    assert fast.engine.now == generic.engine.now
+    assert fast.delivered == reference.delivered
+    assert fast.feedback == reference.feedback
+    assert fast.trace.summary() == reference.trace.summary()
+    assert fast.engine.now == reference.engine.now
     # The post-run RNG state proves both paths drew identically.
-    assert fast.radio._rng.random() == generic.radio._rng.random()
+    assert fast.radio._rng.random() == reference.radio._rng.random()
     if kwargs.get("keep_frames", True):
         fast_frames = [
             (f.kind, f.src, f.dst, f.delivered_to, f.dropped_at)
             for f in fast.trace.frames
         ]
-        generic_frames = [
+        reference_frames = [
             (f.kind, f.src, f.dst, f.delivered_to, f.dropped_at)
-            for f in generic.trace.frames
+            for f in reference.trace.frames
         ]
-        assert fast_frames == generic_frames
+        assert fast_frames == reference_frames
 
 
 class TestFastPathEquivalence:
     def test_clean_broadcast(self):
         _assert_equivalent()
+        # No probe, no loss: the resolver's nothing-can-drop shortcut.
+        _assert_equivalent(liveness_probe=False)
 
     def test_bernoulli_loss_draws_in_same_order(self):
         _assert_equivalent(loss_probability=0.3)
@@ -122,9 +129,10 @@ class TestFastPathEquivalence:
         # (nid+1) addressing includes the 15 -> 0 wrap, which is out of
         # radio range on the grid: exercises the NO_RECEIVER drop.
         _assert_equivalent(unicast=True, loss_probability=0.1)
+        _assert_equivalent(unicast=True, liveness_probe=False)
 
     def test_burst_loss_model_called_identically(self):
-        calls_fast, calls_generic = [], []
+        calls_fast, calls_reference = [], []
 
         def model_factory(log):
             def model(src, dst, now):
@@ -133,23 +141,51 @@ class TestFastPathEquivalence:
 
             return model
 
-        fast = Run(force_generic=False, loss_model=model_factory(calls_fast))
-        generic = Run(
-            force_generic=True, loss_model=model_factory(calls_generic)
-        )
-        assert calls_fast == calls_generic
-        assert fast.delivered == generic.delivered
-        assert fast.trace.summary() == generic.trace.summary()
+        fast = Run(oracle=False, loss_model=model_factory(calls_fast))
+        reference = Run(oracle=True, loss_model=model_factory(calls_reference))
+        assert calls_fast == calls_reference
+        assert fast.delivered == reference.delivered
+        assert fast.trace.summary() == reference.trace.summary()
 
     def test_counters_only_trace(self):
         _assert_equivalent(keep_frames=False)
 
     def test_fast_path_leaves_no_reception_state(self):
-        run = Run(force_generic=False, loss_probability=0.1)
-        assert run.radio._active_receptions == {}
+        run = Run(oracle=False, loss_probability=0.1)
+        reference = Run(oracle=True, loss_probability=0.1)
+        assert reference.oracle.active_receptions == {}
         assert run.radio._in_flight == []
         assert not (run.radio._tx_until > -np.inf).any()
         assert run.radio._tx_count == 0
+
+    def test_clean_frames_never_enter_the_ledger(self):
+        # Step a collisions-off storm one event at a time: frames are
+        # on the air at once, yet none of them ever has a ledger record.
+        topology = grid_deployment(4, 4, spacing=30.0, radio_range=45.0)
+        engine = EventEngine()
+        radio = RadioMedium(
+            engine=engine,
+            topology=topology,
+            trace=TraceCollector(),
+            deliver=lambda r, m, a: None,
+            rng=np.random.default_rng(0),
+            config=RadioConfig(collisions_enabled=False),
+        )
+        for nid in range(topology.node_count):
+            engine.schedule(
+                1e-5 * (nid + 1),
+                lambda nid=nid: radio.transmit(
+                    HelloMessage(src=nid, dst=BROADCAST)
+                ),
+            )
+        most_on_air = 0
+        while engine.pending_events:
+            engine.run(max_events=1)
+            assert radio._in_flight == []
+            most_on_air = max(most_on_air, radio._tx_count)
+        assert most_on_air > 1
+        assert radio.fast_path_frames == topology.node_count
+        assert radio.generic_frames == 0
 
 
 class TestStaleTransmitterPruning:
