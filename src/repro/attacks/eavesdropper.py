@@ -42,11 +42,11 @@ def compromise_links(
     """Independently compromise each link with probability ``px``."""
     if not 0.0 <= px <= 1.0:
         raise ProtocolError("px must be a probability")
-    compromised: Set[Tuple[int, int]] = set()
-    for edge in topology.edges():
-        if rng.random() < px:
-            compromised.add(edge)
-    return compromised
+    edges = topology.edges()
+    # One vector draw: the same stream values, in edge order, as one
+    # scalar draw per edge.
+    hits = np.flatnonzero(rng.random(len(edges)) < px)
+    return {edges[index] for index in hits.tolist()}
 
 
 @dataclass

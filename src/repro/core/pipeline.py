@@ -193,17 +193,20 @@ def run_lossless_round(
         if node_id in dead:
             continue  # fail-stopped before it could slice
         role = trees.role_of(node_id)
+        heard = trees.heard.get(node_id, {})
         candidates = {}
         for color in (TreeColor.RED, TreeColor.BLUE):
-            options = set(trees.heard_aggregators(node_id, color))
-            options.discard(node_id)
-            if key_scheme is not None:
-                options = {
+            candidates[color] = sorted(
+                [
                     a
-                    for a in options
-                    if key_scheme.can_communicate(node_id, a)
-                }
-            candidates[color] = sorted(options)
+                    for a in heard.get(color, ())
+                    if a != node_id
+                    and (
+                        key_scheme is None
+                        or key_scheme.can_communicate(node_id, a)
+                    )
+                ]
+            )
         try:
             plans = plan_slices(
                 node_id,

@@ -212,7 +212,9 @@ def build_disjoint_trees(
     """Run the logical Phase I process and return the trees.
 
     Deterministic given ``rng`` state: nodes decide in ascending id
-    order within each synchronous round.
+    order within each synchronous round.  Only nodes that heard a HELLO
+    this round are examined: an undecided node whose heard sets did not
+    grow would already have decided in an earlier round.
     """
     n = topology.node_count
     if not 0 <= base_station < n:
@@ -236,12 +238,15 @@ def build_disjoint_trees(
         if not announcements:
             break
         # Deliver this round's HELLOs to every neighbour.
+        reached: Set[int] = set()
         for sender, color, _sender_hops in announcements:
-            for nbr in topology.neighbors(sender):
+            nbrs = topology.neighbors(sender)
+            reached.update(nbrs)
+            for nbr in nbrs:
                 heard[nbr][color].add(sender)
         announcements = []
         # Nodes that now hear both colours (and are undecided) elect roles.
-        for node_id in range(n):
+        for node_id in sorted(reached):
             if node_id == base_station or node_id in roles:
                 continue
             heard_red = heard[node_id][TreeColor.RED]

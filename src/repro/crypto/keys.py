@@ -58,12 +58,13 @@ class KeyManagementScheme(ABC):
         """
 
     def can_communicate(self, a: int, b: int) -> bool:
-        """True iff the pair shares a key."""
-        try:
-            self.link_key(a, b)
-        except KeyNotFoundError:
-            return False
-        return True
+        """True iff the pair shares a key; derives no key to find out."""
+        lo, hi = self._normalize(a, b)
+        return self._shares_key(lo, hi)
+
+    @abstractmethod
+    def _shares_key(self, lo: int, hi: int) -> bool:
+        """True iff the normalised pair ``lo < hi`` shares a key."""
 
     @staticmethod
     def _normalize(a: int, b: int) -> Tuple[int, int]:
@@ -101,8 +102,11 @@ class PairwiseKeyScheme(KeyManagementScheme):
         self._check(lo, hi)
         return frozenset((lo, hi))
 
+    def _shares_key(self, lo: int, hi: int) -> bool:
+        return lo >= 0 and hi < self.node_count
+
     def _check(self, lo: int, hi: int) -> None:
-        if lo < 0 or hi >= self.node_count:
+        if not self._shares_key(lo, hi):
             raise KeyNotFoundError(f"nodes {lo},{hi} outside key universe")
 
 
@@ -128,6 +132,9 @@ class GlobalKeyScheme(KeyManagementScheme):
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         self._normalize(a, b)
         return self._all
+
+    def _shares_key(self, lo: int, hi: int) -> bool:
+        return True
 
 
 class RandomPredistributionScheme(KeyManagementScheme):
@@ -207,6 +214,13 @@ class RandomPredistributionScheme(KeyManagementScheme):
         if not shared:
             raise KeyNotFoundError(f"nodes {a} and {b} share no ring key")
         return frozenset(self._holders_by_key[min(shared)])
+
+    def _shares_key(self, lo: int, hi: int) -> bool:
+        return (
+            lo >= 0
+            and hi < self.node_count
+            and not self._rings[lo].isdisjoint(self._rings[hi])
+        )
 
     def connectivity_probability(self) -> float:
         """Analytic probability two rings intersect (EG connectivity).

@@ -97,13 +97,20 @@ def _hex_digest(data: bytes) -> str:
 #: module name -> (source file, content hash); cleared by tests that
 #: edit source files on disk.
 _MODULE_HASHES: Dict[str, Optional[tuple]] = {}
+#: module name -> names its source imports; each file is parsed once
+#: per cache generation, however many closures reach it.
+_MODULE_IMPORTS: Dict[str, Set[str]] = {}
 #: root module name -> ordered {module: hash} closure.
 _CLOSURES: Dict[str, "OrderedDict[str, str]"] = {}
 
 
 def clear_fingerprint_caches() -> None:
-    """Forget memoised source hashes (call after editing files on disk)."""
+    """Forget memoised source hashes and import sets.
+
+    Call after editing files on disk.
+    """
     _MODULE_HASHES.clear()
+    _MODULE_IMPORTS.clear()
     _CLOSURES.clear()
     importlib.invalidate_caches()
 
@@ -143,6 +150,24 @@ def _module_entry(name: str) -> Optional[tuple]:
     return entry
 
 
+#: Statement fields that hold nested statements.  An import is a
+#: statement, and no statement sits inside an expression, so walking
+#: these finds every import without visiting expression nodes.
+_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def _import_statements(tree: ast.Module):
+    """Every ``import``/``from`` statement of ``tree``, at any depth."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+            continue
+        for block in _BLOCK_FIELDS:
+            pending.extend(getattr(node, block, ()))
+
+
 def _imported_modules(name: str, path: str, is_package: bool) -> Set[str]:
     """Module names imported by the source file of ``name``.
 
@@ -153,12 +178,12 @@ def _imported_modules(name: str, path: str, is_package: bool) -> Set[str]:
     """
     try:
         with open(path, "rb") as handle:
-            tree = ast.parse(handle.read())
+            tree = ast.parse(handle.read(), filename=path)
     except (OSError, SyntaxError):
         return set()
     package_parts = name.split(".") if is_package else name.split(".")[:-1]
     found: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in _import_statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 found.add(alias.name)
@@ -245,8 +270,13 @@ def fingerprint_modules(
             continue
         path, content_hash = entry
         closure[name] = content_hash
-        is_package = os.path.basename(path) == "__init__.py"
-        for imported in _imported_modules(name, path, is_package):
+        imports = _MODULE_IMPORTS.get(name)
+        if imports is None:
+            is_package = os.path.basename(path) == "__init__.py"
+            imports = _MODULE_IMPORTS[name] = _imported_modules(
+                name, path, is_package
+            )
+        for imported in imports:
             if _in_followed(imported, prefixes) and imported not in seen:
                 pending.append(imported)
     ordered = OrderedDict(sorted(closure.items()))

@@ -150,3 +150,33 @@ def test_memo_is_per_instance():
     second = PairwiseKeyScheme(NODES, seed=2)
     assert first.link_key(3, 4) != second.link_key(3, 4)
     assert list(first._keys) == [(3, 4)] == list(second._keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=_requests, seed=st.integers(min_value=0, max_value=2**16))
+def test_membership_questions_derive_no_key(requests, seed):
+    # can_communicate answers from the key universe and the rings alone;
+    # only link_key fills the memo.
+    for scheme in (
+        PairwiseKeyScheme(NODES, seed=seed),
+        RandomPredistributionScheme(
+            NODES, pool_size=40, ring_size=3, seed=seed
+        ),
+    ):
+        for a, b in requests:
+            try:
+                scheme.can_communicate(a, b)
+            except CryptoError:
+                assert a == b
+        assert scheme._keys == {}
+
+
+def test_can_communicate_lives_on_the_base_class_only():
+    # The per-layer tracer wraps the base-class entry point, so every
+    # scheme's membership questions must go through it.
+    for scheme_class in (
+        PairwiseKeyScheme,
+        GlobalKeyScheme,
+        RandomPredistributionScheme,
+    ):
+        assert "can_communicate" not in vars(scheme_class)
