@@ -11,12 +11,17 @@ step size.
 Determinism: every link draws from its own generator derived from
 ``(seed, "gilbert", src, dst)``, so the loss pattern on one link never
 depends on traffic elsewhere, and identical plans replay identically.
+A link draws its uniforms :data:`BLOCK` at a time (see
+:class:`LinkState`), and they are the values of one scalar draw per
+decision.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,17 +31,46 @@ from .plan import GilbertElliottParams
 __all__ = ["GilbertElliottChannel", "LinkState"]
 
 
-@dataclass
+#: Uniforms a link draws from its generator at a time.
+BLOCK = 64
+
+
+@dataclass(slots=True, eq=False)
 class LinkState:
-    """Lazy per-link chain state: where it was when last queried."""
+    """Lazy per-link chain state: where it was when last queried.
+
+    ``pi_bad`` (the stationary probability of the bad state) and
+    ``neg_rate`` (``-(bad_rate + recovery_rate)``) are the chain
+    constants of ``params``, kept so a query does no property lookups.
+    The chain's uniforms come from ``block``: :data:`BLOCK` values of
+    one ``rng.random(BLOCK)`` call, used in order (``used`` of them so
+    far), kept as a C ``double`` array.  They are exactly the values
+    one scalar ``rng.random()`` per decision would give, but ``rng``
+    runs ahead of the chain: its state is the one after the whole
+    current block, up to ``BLOCK - 1`` values past what the chain has
+    used.
+    """
 
     in_bad: bool
     last_time: float
     rng: np.random.Generator
     params: GilbertElliottParams
+    pi_bad: float
+    neg_rate: float
     #: frames this link dropped (reported into trace summaries).
     drops: int = 0
     queries: int = 0
+    block: Sequence[float] = ()
+    used: int = BLOCK
+
+    def uniform(self) -> float:
+        """The chain's next uniform, drawing a new block when spent."""
+        used = self.used
+        if used == BLOCK:
+            self.block = array("d", self.rng.random(BLOCK).tobytes())
+            used = 0
+        self.used = used + 1
+        return self.block[used]
 
 
 class GilbertElliottChannel:
@@ -92,44 +126,57 @@ class GilbertElliottChannel:
         """Effective parameters of one directed link, if any."""
         return self.overrides.get((src, dst), self.default)
 
-    def _state(self, src: int, dst: int) -> Optional[LinkState]:
-        key = (src, dst)
-        state = self._links.get(key)
-        if state is None:
-            params = self.params_for(src, dst)
-            if params is None:
-                return None
-            rng = np.random.default_rng(
+    def _new_link(self, src: int, dst: int) -> Optional[LinkState]:
+        """Instantiate one link's chain at its first query (None: lossless)."""
+        params = self.params_for(src, dst)
+        if params is None:
+            return None
+        state = LinkState(
+            in_bad=False,
+            last_time=self.start_time,
+            rng=np.random.default_rng(
                 derive_seed(self.seed, "gilbert", src, dst)
-            )
-            # Start each chain at its stationary distribution so early
-            # frames see the same loss regime as late ones.
-            in_bad = bool(rng.random() < params.steady_state_bad)
-            state = LinkState(
-                in_bad=in_bad,
-                last_time=self.start_time,
-                rng=rng,
-                params=params,
-            )
-            self._links[key] = state
+            ),
+            params=params,
+            pi_bad=float(params.steady_state_bad),
+            neg_rate=float(-(params.bad_rate + params.recovery_rate)),
+        )
+        # Start each chain at its stationary distribution so early
+        # frames see the same loss regime as late ones.
+        state.in_bad = state.uniform() < state.pi_bad
+        self._links[(src, dst)] = state
         return state
 
     def __call__(self, src: int, dst: int, now: float) -> bool:
-        """The radio's loss hook: advance the chain, then draw the loss."""
-        state = self._state(src, dst)
+        """The radio's loss hook: advance the chain, then draw the loss.
+
+        The transition probability is
+        :meth:`GilbertElliottParams.transition_to_bad_probability`,
+        computed from the link's cached constants.
+        """
+        state = self._links.get((src, dst))
         if state is None:
-            return False
-        params = state.params
-        dt = max(now - state.last_time, 0.0)
+            state = self._new_link(src, dst)
+            if state is None:
+                return False
+        dt = now - state.last_time
+        if dt < 0.0:
+            dt = 0.0
         state.last_time = now
-        p_bad = params.transition_to_bad_probability(state.in_bad, dt)
-        state.in_bad = bool(state.rng.random() < p_bad)
-        loss_p = params.loss_bad if state.in_bad else params.loss_good
+        decay = math.exp(state.neg_rate * dt)
+        pi_bad = state.pi_bad
+        if state.in_bad:
+            p_bad = pi_bad + (1.0 - pi_bad) * decay
+        else:
+            p_bad = pi_bad * (1.0 - decay)
+        in_bad = state.in_bad = state.uniform() < p_bad
+        params = state.params
+        loss_p = params.loss_bad if in_bad else params.loss_good
         state.queries += 1
-        lost = bool(loss_p > 0.0 and state.rng.random() < loss_p)
-        if lost:
+        if loss_p > 0.0 and state.uniform() < loss_p:
             state.drops += 1
-        return lost
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and experiment notes)

@@ -89,6 +89,16 @@ class _CrashOrder:
     count: int
     recover_after: Optional[int] = None  # epochs until revival
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ConfigurationError("crash count must be >= 0")
+        if self.epoch < 0:
+            raise ConfigurationError("crash epoch must be >= 0")
+        if self.recover_after is not None and self.recover_after < 1:
+            raise ConfigurationError(
+                "revival must come at least 1 epoch after the crash"
+            )
+
 
 @dataclass(frozen=True)
 class ServiceFaultSchedule:
@@ -105,6 +115,10 @@ class ServiceFaultSchedule:
     loss_level: Optional[str] = None
     loss_epoch: int = 0
 
+    def __post_init__(self) -> None:
+        if self.loss_epoch < 0:
+            raise ConfigurationError("loss epoch must be >= 0")
+
     @property
     def empty(self) -> bool:
         return not self.crashes and self.loss_level is None
@@ -119,7 +133,9 @@ def parse_fault_spec(spec: str) -> ServiceFaultSchedule:
         crash=<count>@<epoch>+<k>      ... and revive them <k> epochs on
         loss=<light|heavy>[@<epoch>]   burst-loss channel from <epoch>
 
-    Example: ``crash=2@3+4,loss=light@1``.
+    Example: ``crash=2@3+4,loss=light@1``.  Counts and epochs are
+    non-negative, and a revival comes at least one epoch after its
+    crash.
     """
     crashes: List[_CrashOrder] = []
     loss_level: Optional[str] = None
@@ -157,7 +173,7 @@ def parse_fault_spec(spec: str) -> ServiceFaultSchedule:
                 raise ConfigurationError(
                     f"unknown fault clause {key!r} (crash= or loss=)"
                 )
-        except ValueError as exc:
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"malformed fault clause {clause!r}: {exc}"
             ) from exc

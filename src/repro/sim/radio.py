@@ -55,26 +55,13 @@ __all__ = ["RadioConfig", "RadioMedium"]
 #: Paper's simulated data rate (Section IV-B): 1 Mbps.
 PAPER_DATA_RATE_BPS: float = 1_000_000.0
 
-#: Ruin codes stored in the ledger's ``ruin`` map.  A receiver's entry
+#: Ruin causes stored in the ledger's ``ruin`` map.  A receiver's entry
 #: records the *first* cause that ruined the reception, at the moment
 #: it is ruined — not a reclassification at end-of-frame (which used to
 #: misattribute half-duplex ruins as collisions once the receiver's own
 #: transmission had ended).
-_RUIN_NONE = 0
-_RUIN_HALF_DUPLEX = 1
-_RUIN_COLLISION = 2
-#: Outcome codes the resolver adds beyond the ruin codes.
-_CODE_DEAD = 3
-_CODE_RANDOM_LOSS = 4
-_CODE_BURST_LOSS = 5
-
-_CODE_REASON = {
-    _RUIN_HALF_DUPLEX: DropReason.HALF_DUPLEX,
-    _RUIN_COLLISION: DropReason.COLLISION,
-    _CODE_DEAD: DropReason.RECEIVER_DEAD,
-    _CODE_RANDOM_LOSS: DropReason.RANDOM_LOSS,
-    _CODE_BURST_LOSS: DropReason.BURST_LOSS,
-}
+_HALF_DUPLEX = DropReason.HALF_DUPLEX
+_COLLISION = DropReason.COLLISION
 
 #: Ledger size at which the transmit-time pair screen switches from a
 #: scalar Python loop to one vectorized pass over the ``_if_*``
@@ -121,10 +108,10 @@ class RadioConfig:
 class _InFlightFrame:
     """One frame on the air, as a struct-of-arrays ledger record.
 
-    ``receivers``/``receiver_set``/``slot_index`` are the sender's
-    cached sorted-neighbour views (shared across all its frames, never
-    rebuilt per transmission); ``ruin`` maps a ruined receiver's id to
-    its ``_RUIN_*`` cause code — one hash probe to test-and-mark, and
+    ``receivers``/``receiver_set`` are the sender's cached
+    sorted-neighbour views (shared across all its frames, never rebuilt
+    per transmission); ``ruin`` maps a ruined receiver's id to its
+    :class:`DropReason` — one hash probe to test-and-mark, and
     ``len(ruin) == n_receivers`` is the "fully ruined" saturation test
     that lets a contended storm skip already-settled frame pairs.  A
     frame that never collides carries an empty map.  ``sx``/``sy`` are
@@ -140,9 +127,8 @@ class _InFlightFrame:
     sy: float
     receivers: Tuple[int, ...]
     receiver_set: frozenset
-    slot_index: Dict[int, int]
     n_receivers: int
-    ruin: Dict[int, int]
+    ruin: Dict[int, str]
     record: Optional[FrameRecord]
 
 
@@ -245,11 +231,8 @@ class RadioMedium:
         #: the same neighbour sets as int64 arrays, for vectorized
         #: carrier sensing.
         self._neighbor_arrays: Dict[int, np.ndarray] = {}
-        #: ... as frozensets, for the ledger's O(1)/O(d) pair tests.
+        #: ... and as frozensets, for the ledger's O(1)/O(d) pair tests.
         self._neighbor_sets: Dict[int, frozenset] = {}
-        #: ... and as node-id -> ruin-slot maps (slot = position in the
-        #: sorted tuple), so flagging a ruined reception is a dict get.
-        self._neighbor_slots: Dict[int, Dict[int, int]] = {}
         self._neighbor_cache_version = topology.version
         #: sender coordinates and the pair-level rejection radius: under
         #: the disc model (Topology: neighbours iff distance <=
@@ -268,7 +251,6 @@ class RadioMedium:
             self._neighbor_cache.clear()
             self._neighbor_arrays.clear()
             self._neighbor_sets.clear()
-            self._neighbor_slots.clear()
             self._neighbor_cache_version = self.topology.version
 
     def _sorted_neighbors(self, node_id: int) -> Tuple[int, ...]:
@@ -298,19 +280,6 @@ class RadioMedium:
             neighbor_set = frozenset(self._sorted_neighbors(node_id))
             self._neighbor_sets[node_id] = neighbor_set
         return neighbor_set
-
-    def _neighbor_slot_index(self, node_id: int) -> Dict[int, int]:
-        """Neighbour id -> slot in the sorted tuple (cached)."""
-        slots = self._neighbor_slots.get(node_id)
-        if slots is None:
-            slots = {
-                neighbor: slot
-                for slot, neighbor in enumerate(
-                    self._sorted_neighbors(node_id)
-                )
-            }
-            self._neighbor_slots[node_id] = slots
-        return slots
 
     # ------------------------------------------------------------------
     # Channel state queries (used by the MAC for carrier sensing)
@@ -385,7 +354,6 @@ class RadioMedium:
             sy=float(coords[sender, 1]),
             receivers=receivers,
             receiver_set=self._neighbor_set(sender),
-            slot_index=self._neighbor_slot_index(sender),
             n_receivers=len(receivers),
             ruin={},
             record=record,
@@ -470,12 +438,12 @@ class RadioMedium:
             # entry — cannot decode this one.
             other_sender = other.sender
             if other_sender in recv_set and other_sender not in ruin:
-                ruin[other_sender] = _RUIN_HALF_DUPLEX
+                ruin[other_sender] = _HALF_DUPLEX
             # Half-duplex (sender side): anything this sender was
             # still receiving is ruined by its own transmission.
             other_ruin = other.ruin
             if sender in other.receiver_set and sender not in other_ruin:
-                other_ruin[sender] = _RUIN_HALF_DUPLEX
+                other_ruin[sender] = _HALF_DUPLEX
         n_mine = entry.n_receivers
         for other in near:
             # Overlap: both frames die at every common receiver.
@@ -495,9 +463,9 @@ class RadioMedium:
                 continue
             for receiver in recv_set & other_set:
                 if receiver not in ruin:
-                    ruin[receiver] = _RUIN_COLLISION
+                    ruin[receiver] = _COLLISION
                 if receiver not in other_ruin:
-                    other_ruin[receiver] = _RUIN_COLLISION
+                    other_ruin[receiver] = _COLLISION
 
     # ------------------------------------------------------------------
     # End of frame
@@ -534,20 +502,20 @@ class RadioMedium:
         collisions-off frame has none.  The surviving receptions then
         face the drop checks in order — alive, Bernoulli, loss model —
         each over the receivers the previous check left, in receiver
-        order.  The Bernoulli losses are ONE vectorized ``random(k)``
-        call, elementwise- and state-identical to ``k`` scalar draws,
-        and the fan-out is accounted through the batch trace APIs, so a
-        10^4-neighbour broadcast costs one draw and one aggregate
-        counter update.  Resolving every outcome ahead of the deliver
-        callbacks is safe because nodes draw from their own per-node
-        streams, never the radio's, and the per-link loss model keeps
-        independent per-link generators.
+        order, as plain lists.  The Bernoulli losses are ONE vectorized
+        ``random(k)`` call, elementwise- and state-identical to ``k``
+        scalar draws, and the fan-out is accounted through the batch
+        trace APIs, so a 10^4-neighbour broadcast costs one draw and one
+        aggregate counter update.  Resolving every outcome ahead of the
+        deliver callbacks is safe because nodes draw from their own
+        per-node streams, never the radio's, and the per-link loss model
+        keeps independent per-link generators.
         """
         self._tx_until[message.src] = -np.inf
         self._tx_count -= 1
         if entry is None:
             self.fast_path_frames += 1
-            ruin: Dict[int, int] = {}
+            ruin: Dict[int, str] = {}
             reach: Collection[int] = receivers
         else:
             self.generic_frames += 1
@@ -576,64 +544,60 @@ class RadioMedium:
             self.trace.record_drop_batch(
                 record,
                 message,
-                [
-                    (receiver, _CODE_REASON[ruin[receiver]])
-                    for receiver in receivers
-                ],
+                [(receiver, ruin[receiver]) for receiver in receivers],
             )
             self._record_deliveries(message, record, (), reach)
             return
 
-        # Outcome codes per slot: 0 = delivered, otherwise the drop
-        # reason.  Start from the ruin causes recorded at flag time.
-        code = np.zeros(len(receivers), dtype=np.int8)
+        # ``dropped`` maps each dropped receiver to its reason, starting
+        # from the ruin causes recorded at flag time; ``survivors`` are
+        # the receptions every check so far let through, in receiver
+        # order.
         if ruin:
-            slot_index = entry.slot_index
-            for receiver, cause in ruin.items():
-                code[slot_index[receiver]] = cause
+            dropped = dict(ruin)
+            survivors = [r for r in receivers if r not in ruin]
+        else:
+            dropped = {}
+            survivors = receivers
         if node_alive is not None:
-            # Liveness probes only for the non-ruined receivers, in
-            # receiver order.
-            dead = [
-                slot
-                for slot in (
-                    np.flatnonzero(code == _RUIN_NONE)
-                    if ruin
-                    else range(len(receivers))
-                )
-                if not node_alive(receivers[slot])
-            ]
-            if dead:
-                code[dead] = _CODE_DEAD
-        eligible = np.flatnonzero(code == _RUIN_NONE)
-        if loss_p > 0.0 and len(eligible):
-            draws = self._rng.random(len(eligible))
-            lost = eligible[draws < loss_p]
-            if len(lost):
-                code[lost] = _CODE_RANDOM_LOSS
+            alive = []
+            for receiver in survivors:
+                if node_alive(receiver):
+                    alive.append(receiver)
+                else:
+                    dropped[receiver] = DropReason.RECEIVER_DEAD
+            survivors = alive
+        if loss_p > 0.0 and survivors:
+            lost = (self._rng.random(len(survivors)) < loss_p).tolist()
+            kept = []
+            for receiver, is_lost in zip(survivors, lost):
+                if is_lost:
+                    dropped[receiver] = DropReason.RANDOM_LOSS
+                else:
+                    kept.append(receiver)
+            survivors = kept
         if loss_model is not None:
             now = self.engine.now
             src = message.src
-            for slot in np.flatnonzero(code == _RUIN_NONE):
-                if loss_model(src, receivers[slot], now):
-                    code[slot] = _CODE_BURST_LOSS
+            kept = []
+            for receiver in survivors:
+                if loss_model(src, receiver, now):
+                    dropped[receiver] = DropReason.BURST_LOSS
+                else:
+                    kept.append(receiver)
+            survivors = kept
 
-        dropped_slots = np.flatnonzero(code)
-        if len(dropped_slots):
+        if dropped:
             self.trace.record_drop_batch(
                 record,
                 message,
                 [
-                    (receivers[slot], _CODE_REASON[code[slot]])
-                    for slot in dropped_slots
+                    (receiver, dropped[receiver])
+                    for receiver in receivers
+                    if receiver in dropped
                 ],
             )
-        self._record_deliveries(
-            message,
-            record,
-            [receivers[slot] for slot in np.flatnonzero(code == _RUIN_NONE)],
-            reach,
-        )
+        self._record_deliveries(message, record, survivors, reach)
 
     def _record_deliveries(
         self,
@@ -663,14 +627,21 @@ class RadioMedium:
             return
         dst = message.dst
         overhearers = self.overhearers
-        decoded = False
-        for receiver in delivered:
-            if receiver == dst:
-                decoded = True
-                trace.record_delivery(record, message, receiver)
-                deliver(receiver, message, True)
-            elif overhearers is None or receiver in overhearers:
-                deliver(receiver, message, False)
+        if overhearers is not None and not overhearers:
+            # No bystander overhears: only the addressee is dispatched.
+            decoded = dst in delivered
+            if decoded:
+                trace.record_delivery(record, message, dst)
+                deliver(dst, message, True)
+        else:
+            decoded = False
+            for receiver in delivered:
+                if receiver == dst:
+                    decoded = True
+                    trace.record_delivery(record, message, receiver)
+                    deliver(receiver, message, True)
+                elif overhearers is None or receiver in overhearers:
+                    deliver(receiver, message, False)
         if dst not in reach:
             # Unicast to a node outside radio range: nobody to decode it.
             trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)

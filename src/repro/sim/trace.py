@@ -265,9 +265,16 @@ class TraceCollector:
             self.sent_bytes,
             self.delivered_count,
             self.dropped_count,
-            dict(self.dropped_by_link),
+            self._link_totals(),
             len(self.fault_events),
         )
+
+    def _link_totals(self) -> Dict[Tuple[int, int], int]:
+        """Drops per directed link, over every reason."""
+        return {
+            link: sum(reasons.values())
+            for link, reasons in self.dropped_by_link.items()
+        }
 
     # ------------------------------------------------------------------
     # Per-round deltas
@@ -277,17 +284,17 @@ class TraceCollector:
 
         The collector lives as long as its :class:`Network`; multi-round
         sessions that reuse one network would otherwise read cumulative
-        totals where a per-round figure is expected.
+        totals where a per-round figure is expected.  The per-link
+        breakdown is checkpointed as one drop total per link: the
+        summary reports nothing finer, so no per-reason counter is
+        copied.
         """
         self._round_checkpoint = {
             "sent_count": Counter(self.sent_count),
             "sent_bytes": Counter(self.sent_bytes),
             "delivered_count": Counter(self.delivered_count),
             "dropped_count": Counter(self.dropped_count),
-            "dropped_by_link": {
-                link: Counter(reasons)
-                for link, reasons in self.dropped_by_link.items()
-            },
+            "link_totals": self._link_totals(),
             "fault_events": len(self.fault_events),
         }
 
@@ -300,11 +307,10 @@ class TraceCollector:
         checkpoint = self._round_checkpoint
         if checkpoint is None:
             return self.summary()
+        before = checkpoint["link_totals"]
         links = {}
-        for link, reasons in self.dropped_by_link.items():
-            delta = reasons - checkpoint["dropped_by_link"].get(
-                link, Counter()
-            )
+        for link, total in self._link_totals().items():
+            delta = total - before.get(link, 0)
             if delta:
                 links[link] = delta
         return _summarize(
@@ -322,7 +328,7 @@ def _summarize(
     sent_bytes: Counter,
     delivered_count: Counter,
     dropped_count: Counter,
-    dropped_by_link: Dict[Tuple[int, int], Counter],
+    link_drops: Dict[Tuple[int, int], int],
     fault_events: int,
 ) -> Dict[str, object]:
     delivered = sum(delivered_count.values())
@@ -338,14 +344,13 @@ def _summarize(
         "frames_by_kind": dict(sent_count),
         "drops_by_reason": dict(dropped_count),
         "drops_by_link": {
-            f"{src}->{dst}": sum(reasons.values())
-            for (src, dst), reasons in sorted(dropped_by_link.items())
+            f"{src}->{dst}": total
+            for (src, dst), total in sorted(link_drops.items())
         },
         "lossiest_links": [
-            (f"{src}->{dst}", sum(reasons.values()))
-            for (src, dst), reasons in sorted(
-                dropped_by_link.items(),
-                key=lambda item: (-sum(item[1].values()), item[0]),
+            (f"{src}->{dst}", total)
+            for (src, dst), total in sorted(
+                link_drops.items(), key=lambda item: (-item[1], item[0])
             )[:10]
         ],
         "fault_events": fault_events,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,22 @@ class TestDeterministicBench:
         assert report["fleet"]["construction_bytes"] > 0
         assert report["metrics"]["counters"]["serve.epochs"] >= 2
 
+    def test_chaos_shape_output_is_pinned(self):
+        # The CI chaos smoke run: `repro serve --bench --robust --faults
+        # 'crash=2@3+4,loss=light@1' --seed 7 --duration 5 --qps 20`
+        # (200 nodes, fleet seed = --seed).  Every served epoch runs the
+        # burst-loss channel, crashes and revivals, so a change to the
+        # loss path that moves a single draw moves this digest.
+        report = run_bench(
+            BenchConfig(duration=5.0, qps=20.0, seed=7),
+            fleet_config=FleetConfig(seed=7, robust=True),
+            fault_spec="crash=2@3+4,loss=light@1",
+        )
+        view = json.dumps(serve_deterministic_view(report), sort_keys=True)
+        assert hashlib.sha256(view.encode()).hexdigest() == (
+            "790ff65fb40e1b4e4e208cfb8ac2120aaecb86225ffe241c9596b2de5e993e8c"
+        )
+
 
 class TestReportFamily:
     def test_validate_accepts_own_output(self):
@@ -229,3 +246,17 @@ class TestCli:
             "--faults", "crash=oops",
         ]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec", ["crash=-1@1", "crash=2@-3", "loss=light@-2", "crash=2@3+0"]
+    )
+    def test_out_of_range_fault_spec_exits_2(self, spec, capsys):
+        # "crash=-1@1" used to die mid-run with numpy's "negative
+        # dimensions" ValueError and a traceback.
+        assert main([
+            "serve", "--bench", "--robust", "--duration", "1",
+            "--qps", "5", "--nodes", "40", "--faults", spec,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "must" in err
+        assert "Traceback" not in err

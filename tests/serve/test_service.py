@@ -234,6 +234,51 @@ class TestFaultSpecParsing:
         with pytest.raises(ConfigurationError):
             parse_fault_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [
+            ("crash=-1@1", "crash count"),
+            ("crash=2@-3", "crash epoch"),
+            ("loss=light@-2", "loss epoch"),
+            ("crash=2@3+0", "revival"),
+            ("crash=2@3+-1", "revival"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, spec, problem):
+        # Before validation a negative count died mid-run inside numpy,
+        # a negative epoch never fired, and "+0" revived one epoch late
+        # exactly like "+1".
+        with pytest.raises(ConfigurationError, match=problem):
+            parse_fault_spec(spec)
+
+    def test_boundary_values_accepted(self):
+        schedule = parse_fault_spec("crash=0@0+1,loss=light@0")
+        assert schedule.crashes[0].count == 0
+        assert schedule.crashes[0].epoch == 0
+        assert schedule.crashes[0].recover_after == 1
+        assert schedule.loss_epoch == 0
+
+    def test_schedule_validates_without_the_parser(self):
+        from repro.serve import ServiceFaultSchedule
+
+        with pytest.raises(ConfigurationError, match="loss epoch"):
+            ServiceFaultSchedule(loss_level="light", loss_epoch=-1)
+
+    def test_revival_one_epoch_after_the_crash(self):
+        core = ServiceCore(
+            config=ServiceConfig(capacity=16),
+            fleet_config=SMALL,
+            faults=parse_fault_spec("crash=2@1+1"),
+        )
+        core.start()
+        down = []
+        for epoch in range(3):
+            core.submit(AggregationQuery("count"), now=float(epoch))
+            core.dispatch(now=float(epoch))
+            down.append(len(core.fleet.session.network.down))
+        # crashed at the start of epoch 1, revived at the start of 2
+        assert down == [0, 2, 0]
+
 
 class TestConfigValidation:
     def test_service_config_bounds(self):
