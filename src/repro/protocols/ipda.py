@@ -187,7 +187,8 @@ class _IpdaNode(Node):
         #: shared medium makes the duplicity visible; such nodes are
         #: excluded from both trees).
         self.blacklist: Set[int] = set()
-        self._hello_colors: Dict[int, Set[TreeColor]] = {}
+        #: the first colour each neighbour announced.
+        self._hello_colors: Dict[int, TreeColor] = {}
         self.color: Optional[TreeColor] = None
         self.parent: Optional[int] = None
         self.hops: Optional[int] = None
@@ -294,9 +295,8 @@ class _IpdaNode(Node):
         # trees; the shared medium makes the duplicity visible.  The
         # base station legitimately roots both trees.
         if message.src != self.base_station:
-            seen = self._hello_colors.setdefault(message.src, set())
-            seen.add(message.color)
-            if len(seen) > 1:
+            first = self._hello_colors.setdefault(message.src, message.color)
+            if first is not message.color:
                 self.blacklist.add(message.src)
                 for table in self.heard.values():
                     table.pop(message.src, None)
@@ -325,7 +325,16 @@ class _IpdaNode(Node):
     def _decide(self) -> None:
         if self.decided:
             return
+        if not self.is_covered:
+            # A blacklisting emptied a colour's table after the timer
+            # was armed: wait for a HELLO that restores both colours.
+            self._decision_pending = False
+            return
         self.decided = True
+        self._elect()
+
+    def _elect(self) -> None:
+        """Draw this node's role (Equations 1–2) and join its tree."""
         n_red = len(self.heard[TreeColor.RED])
         n_blue = len(self.heard[TreeColor.BLUE])
         p_red, p_blue = role_probabilities(
@@ -465,7 +474,10 @@ class _IpdaNode(Node):
         if self.robust is None:
             return
         frame_id = message.frame_id
-        timer = self.schedule(
+        # Unguarded, so a timeout that comes due while this node is down
+        # still drops its record (which would otherwise hold the node
+        # in a cycle through the timer's callback).
+        timer = self.engine.schedule(
             self.robust.slice_ack_timeout,
             lambda: self._slice_timeout(frame_id),
         )
@@ -481,8 +493,8 @@ class _IpdaNode(Node):
         """No ACK in time: back off and resend the same frame, or give up."""
         robust = self.robust
         state = self.round.pending_slices.pop(frame_id, None)
-        if state is None or robust is None:
-            return
+        if state is None or robust is None or not self.alive:
+            return  # settled, or due while down: the timer is lost
         if state.attempt >= robust.slice_retry_limit:
             return  # retries exhausted; this piece is lost
         message = state.message
@@ -570,7 +582,8 @@ class _IpdaNode(Node):
         if self.robust is None:
             return
         frame_id = message.frame_id
-        timer = self.schedule(
+        # Unguarded for the same reason as a slice's timer.
+        timer = self.engine.schedule(
             self.robust.report_ack_timeout,
             lambda: self._report_timeout(frame_id),
         )
@@ -582,8 +595,8 @@ class _IpdaNode(Node):
         """Retry the report; after the per-parent cap, fail over."""
         robust = self.robust
         state = self.round.pending_reports.pop(frame_id, None)
-        if state is None or robust is None:
-            return
+        if state is None or robust is None or not self.alive:
+            return  # settled, or due while down: the timer is lost
         message = state.message
         assert isinstance(message, AggregateMessage)
         self.round.retries_used += 1
@@ -706,14 +719,8 @@ class _TwoFacedNode(_IpdaNode):
     contradictory HELLOs and blacklist it.
     """
 
-    def _decide(self) -> None:
-        if self.decided:
-            return
-        self.decided = True
+    def _elect(self) -> None:
         heard_red = self.heard[TreeColor.RED]
-        heard_blue = self.heard[TreeColor.BLUE]
-        if not heard_red or not heard_blue:
-            return
         self.color = TreeColor.RED
         self.parent = min(heard_red, key=lambda a: (heard_red[a], a))
         self.hops = heard_red[self.parent] + 1
@@ -893,7 +900,7 @@ class IpdaProtocol(AggregationProtocol):
             )
             return node
 
-        network = Network(
+        with Network(
             topology,
             factory,
             streams=streams.spawn("ipda", round_id),
@@ -901,53 +908,60 @@ class IpdaProtocol(AggregationProtocol):
             mac_config=self.mac_config,
             keep_frames=self.keep_frames,
             fault_plan=fault_plan,
-        )
-        root = network.node(self.base_station)
-        assert isinstance(root, _IpdaBaseStation)
+        ) as network:
+            root = network.node(self.base_station)
+            assert isinstance(root, _IpdaBaseStation)
 
-        root.start()
-        for node in network.iter_nodes():
-            if node.id != self.base_station:
-                node.schedule_slicing(t_slice)
-        if failures:
-            for node_id, when in failures.items():
-                network.engine.schedule_at(
-                    float(when), partial(network.kill_node, node_id)
-                )
-        network.run(
-            until=phase3_start + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
-        )
-        network.run()  # drain MAC backoff and protocol-retry tails
+            root.start()
+            for node in network.iter_nodes():
+                if node.id != self.base_station:
+                    node.schedule_slicing(t_slice)
+            if failures:
+                for node_id, when in failures.items():
+                    network.engine.schedule_at(
+                        float(when), partial(network.kill_node, node_id)
+                    )
+            network.run(
+                until=phase3_start
+                + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
+            )
+            network.run()  # drain MAC backoff and protocol-retry tails
 
-        tally = root.tally()
-        participants = tally.participants
-        verification = root.verdict(magnitude, len(participants))
-        return IpdaOutcome(
-            protocol=self.name,
-            round_id=round_id,
-            reported=verification.report_value,
-            true_total=sum(int(v) for v in readings.values()),
-            participant_total=sum(int(readings[i]) for i in participants),
-            participants=participants,
-            bytes_sent=network.trace.total_bytes_sent,
-            frames_sent=network.trace.total_frames_sent,
-            s_red=verification.s_red,
-            s_blue=verification.s_blue,
-            verification=verification,
-            covered=tally.covered,
-            stats={
-                "sensor_count": topology.node_count - 1,
-                "red_aggregators": tally.aggregators[TreeColor.RED],
-                "blue_aggregators": tally.aggregators[TreeColor.BLUE],
-                "adversary_blacklisted_by": tally.blacklisting,
-                "slices": self.config.slices,
-                "magnitude": magnitude,
-                "retries_used": tally.retries_used,
-                "reparent_count": tally.reparent_count,
-                "loss_rate": network.trace.loss_rate(),
-                "sent_bytes_by_node": dict(network.trace.sent_bytes_by_node),
-                "latency": root.round.last_result_time,
-                "trace": network.trace.summary(),
-                "frames": network.trace.frames if self.keep_frames else None,
-            },
-        )
+            tally = root.tally()
+            participants = tally.participants
+            verification = root.verdict(magnitude, len(participants))
+            return IpdaOutcome(
+                protocol=self.name,
+                round_id=round_id,
+                reported=verification.report_value,
+                true_total=sum(int(v) for v in readings.values()),
+                participant_total=sum(
+                    int(readings[i]) for i in participants
+                ),
+                participants=participants,
+                bytes_sent=network.trace.total_bytes_sent,
+                frames_sent=network.trace.total_frames_sent,
+                s_red=verification.s_red,
+                s_blue=verification.s_blue,
+                verification=verification,
+                covered=tally.covered,
+                stats={
+                    "sensor_count": topology.node_count - 1,
+                    "red_aggregators": tally.aggregators[TreeColor.RED],
+                    "blue_aggregators": tally.aggregators[TreeColor.BLUE],
+                    "adversary_blacklisted_by": tally.blacklisting,
+                    "slices": self.config.slices,
+                    "magnitude": magnitude,
+                    "retries_used": tally.retries_used,
+                    "reparent_count": tally.reparent_count,
+                    "loss_rate": network.trace.loss_rate(),
+                    "sent_bytes_by_node": dict(
+                        network.trace.sent_bytes_by_node
+                    ),
+                    "latency": root.round.last_result_time,
+                    "trace": network.trace.summary(),
+                    "frames": (
+                        network.trace.frames if self.keep_frames else None
+                    ),
+                },
+            )

@@ -374,74 +374,76 @@ class MipdaProtocol:
             node.pollution_offset = int(pollution.get(node_id, 0))
             return node
 
-        network = Network(
+        with Network(
             topology,
             factory,
             streams=streams.spawn("mipda", self.tree_count, round_id),
             radio_config=self.radio_config,
             mac_config=self.mac_config,
-        )
-        root = network.node(self.base_station)
-        assert isinstance(root, _MipdaBaseStation)
-        timing = self.config.timing
-        t_slice = timing.tree_construction_window
-        horizon = (
-            t_slice
-            + timing.slicing_window
-            + timing.assembly_guard
-            + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
-        )
-        root.start()
-        for node in network.iter_nodes():
-            if node.id != self.base_station and isinstance(node, _MipdaNode):
-                network.engine.schedule_at(t_slice, _starter(node))
-        network.run(until=horizon)
-        network.run()
+        ) as network:
+            root = network.node(self.base_station)
+            assert isinstance(root, _MipdaBaseStation)
+            timing = self.config.timing
+            t_slice = timing.tree_construction_window
+            horizon = (
+                t_slice
+                + timing.slicing_window
+                + timing.assembly_guard
+                + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
+            )
+            root.start()
+            for node in network.iter_nodes():
+                if node.id != self.base_station and isinstance(
+                    node, _MipdaNode
+                ):
+                    network.engine.schedule_at(t_slice, _starter(node))
+            network.run(until=horizon)
+            network.run()
 
-        sums = [root.tree_sum(color) for color in self.colors]
-        verification = MultiTreeVerification(
-            sums=sums, threshold=self.config.threshold
-        )
-        participants = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _MipdaNode)
-            and node.id != self.base_station
-            and node.participant
-        }
-        covered = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _MipdaNode)
-            and node.id != self.base_station
-            and node.is_covered
-        }
-        return MipdaOutcome(
-            round_id=round_id,
-            colors=self.colors,
-            sums=sums,
-            verification=verification,
-            participants=participants,
-            covered=covered,
-            true_total=sum(int(v) for v in readings.values()),
-            participant_total=sum(int(readings[i]) for i in participants),
-            bytes_sent=network.trace.total_bytes_sent,
-            frames_sent=network.trace.total_frames_sent,
-            stats={
-                "sensor_count": topology.node_count - 1,
-                "aggregators_by_color": {
-                    color.value: sum(
-                        1
-                        for node in network.iter_nodes()
-                        if isinstance(node, _MipdaNode)
-                        and node.color is color
-                    )
-                    for color in self.colors
+            sums = [root.tree_sum(color) for color in self.colors]
+            verification = MultiTreeVerification(
+                sums=sums, threshold=self.config.threshold
+            )
+            participants = {
+                node.id
+                for node in network.iter_nodes()
+                if isinstance(node, _MipdaNode)
+                and node.id != self.base_station
+                and node.participant
+            }
+            covered = {
+                node.id
+                for node in network.iter_nodes()
+                if isinstance(node, _MipdaNode)
+                and node.id != self.base_station
+                and node.is_covered
+            }
+            return MipdaOutcome(
+                round_id=round_id,
+                colors=self.colors,
+                sums=sums,
+                verification=verification,
+                participants=participants,
+                covered=covered,
+                true_total=sum(int(v) for v in readings.values()),
+                participant_total=sum(int(readings[i]) for i in participants),
+                bytes_sent=network.trace.total_bytes_sent,
+                frames_sent=network.trace.total_frames_sent,
+                stats={
+                    "sensor_count": topology.node_count - 1,
+                    "aggregators_by_color": {
+                        color.value: sum(
+                            1
+                            for node in network.iter_nodes()
+                            if isinstance(node, _MipdaNode)
+                            and node.color is color
+                        )
+                        for color in self.colors
+                    },
+                    "loss_rate": network.trace.loss_rate(),
+                    "trace": network.trace.summary(),
                 },
-                "loss_rate": network.trace.loss_rate(),
-                "trace": network.trace.summary(),
-            },
-        )
+            )
 
 
 def _starter(node: _MipdaNode):

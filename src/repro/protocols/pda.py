@@ -246,54 +246,56 @@ class PdaProtocol(AggregationProtocol):
             )
             return node
 
-        network = Network(
+        with Network(
             topology,
             factory,
             streams=streams.spawn("pda", round_id),
             radio_config=self.radio_config,
             mac_config=self.mac_config,
-        )
-        root = network.node(self.base_station)
-        assert isinstance(root, _PdaBaseStation)
-        root.start()
-        for node in network.iter_nodes():
-            if node.id != self.base_station and isinstance(node, _PdaNode):
-                network.engine.schedule_at(
-                    self.params.hello_window, _begin_slicing(node)
-                )
-        horizon = (
-            self.params.hello_window
-            + self.params.slicing_window
-            + self.params.assembly_guard
-            + (self.params.max_depth + 2) * self.params.slot
-        )
-        network.run(until=horizon)
-        network.run()
+        ) as network:
+            root = network.node(self.base_station)
+            assert isinstance(root, _PdaBaseStation)
+            root.start()
+            for node in network.iter_nodes():
+                if node.id != self.base_station and isinstance(node, _PdaNode):
+                    network.engine.schedule_at(
+                        self.params.hello_window, _begin_slicing(node)
+                    )
+            horizon = (
+                self.params.hello_window
+                + self.params.slicing_window
+                + self.params.assembly_guard
+                + (self.params.max_depth + 2) * self.params.slot
+            )
+            network.run(until=horizon)
+            network.run()
 
-        participants = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _PdaNode)
-            and node.id != self.base_station
-            and node.participant
-        }
-        return RoundOutcome(
-            protocol=self.name,
-            round_id=round_id,
-            reported=root.collected,
-            true_total=sum(int(v) for v in readings.values()),
-            participant_total=sum(int(readings[i]) for i in participants),
-            participants=participants,
-            bytes_sent=network.trace.total_bytes_sent,
-            frames_sent=network.trace.total_frames_sent,
-            stats={
-                "sensor_count": topology.node_count - 1,
-                "slices": self.params.slices,
-                "loss_rate": network.trace.loss_rate(),
-                "sent_bytes_by_node": dict(network.trace.sent_bytes_by_node),
-                "trace": network.trace.summary(),
-            },
-        )
+            participants = {
+                node.id
+                for node in network.iter_nodes()
+                if isinstance(node, _PdaNode)
+                and node.id != self.base_station
+                and node.participant
+            }
+            return RoundOutcome(
+                protocol=self.name,
+                round_id=round_id,
+                reported=root.collected,
+                true_total=sum(int(v) for v in readings.values()),
+                participant_total=sum(int(readings[i]) for i in participants),
+                participants=participants,
+                bytes_sent=network.trace.total_bytes_sent,
+                frames_sent=network.trace.total_frames_sent,
+                stats={
+                    "sensor_count": topology.node_count - 1,
+                    "slices": self.params.slices,
+                    "loss_rate": network.trace.loss_rate(),
+                    "sent_bytes_by_node": dict(
+                        network.trace.sent_bytes_by_node
+                    ),
+                    "trace": network.trace.summary(),
+                },
+            )
 
 
 def _begin_slicing(node: _PdaNode):

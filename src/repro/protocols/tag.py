@@ -217,7 +217,10 @@ class _TagNode(Node):
         if self.robust is None:
             return
         frame_id = message.frame_id
-        timer = self.schedule(
+        # Unguarded, so a timeout that comes due while this node is down
+        # still drops its record (which would otherwise hold the node
+        # in a cycle through the timer's callback).
+        timer = self.engine.schedule(
             self.robust.report_ack_timeout,
             lambda: self._report_timeout(frame_id),
         )
@@ -229,8 +232,8 @@ class _TagNode(Node):
         """Retry the partial result; after the per-parent cap, fail over."""
         robust = self.robust
         state = self._pending.pop(frame_id, None)
-        if state is None or robust is None:
-            return
+        if state is None or robust is None or not self.alive:
+            return  # settled, or due while down: the timer is lost
         self.retries_used += 1
         jitter = float(self.rng.uniform(0.5, 1.5))
         delay = jitter * robust.retry_backoff * (2 ** (state.attempt - 1))
@@ -351,62 +354,66 @@ class TagProtocol(AggregationProtocol):
             )
             return node
 
-        network = Network(
+        with Network(
             topology,
             factory,
             streams=streams.spawn("tag", round_id),
             radio_config=self.radio_config,
             mac_config=self.mac_config,
             fault_plan=fault_plan,
-        )
-        root = network.node(self.base_station)
-        assert isinstance(root, _TagBaseStation)
-        root.start()
-        horizon = (
-            self.params.hello_window
-            + (self.params.max_depth + 2) * self.params.slot
-        )
-        network.run(until=horizon)
-        network.run()  # drain any MAC backoff tails
+        ) as network:
+            root = network.node(self.base_station)
+            assert isinstance(root, _TagBaseStation)
+            root.start()
+            horizon = (
+                self.params.hello_window
+                + (self.params.max_depth + 2) * self.params.slot
+            )
+            network.run(until=horizon)
+            network.run()  # drain any MAC backoff tails
 
-        joined = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _TagNode)
-            and node.id != self.base_station
-            and node.parent is not None
-        }
-        eligible = contributors if contributors is not None else set(readings)
-        participants = joined & set(eligible)
-        return RoundOutcome(
-            protocol=self.name,
-            round_id=round_id,
-            reported=root.collected,
-            true_total=sum(int(v) for v in readings.values()),
-            participant_total=sum(int(readings[i]) for i in participants),
-            participants=participants,
-            bytes_sent=network.trace.total_bytes_sent,
-            frames_sent=network.trace.total_frames_sent,
-            stats={
-                "sensor_count": topology.node_count - 1,
-                "tree_size": len(joined),
-                "contributor_count_reported": root.child_count,
-                "coverage": (
-                    root.child_count / max(len(eligible), 1)
-                ),
-                "retries_used": sum(
-                    node.retries_used
-                    for node in network.iter_nodes()
-                    if isinstance(node, _TagNode)
-                ),
-                "reparent_count": sum(
-                    node.reparent_count
-                    for node in network.iter_nodes()
-                    if isinstance(node, _TagNode)
-                ),
-                "loss_rate": network.trace.loss_rate(),
-                "sent_bytes_by_node": dict(network.trace.sent_bytes_by_node),
-                "latency": root.last_result_time,
-                "trace": network.trace.summary(),
-            },
-        )
+            joined = {
+                node.id
+                for node in network.iter_nodes()
+                if isinstance(node, _TagNode)
+                and node.id != self.base_station
+                and node.parent is not None
+            }
+            eligible = (
+                contributors if contributors is not None else set(readings)
+            )
+            participants = joined & set(eligible)
+            return RoundOutcome(
+                protocol=self.name,
+                round_id=round_id,
+                reported=root.collected,
+                true_total=sum(int(v) for v in readings.values()),
+                participant_total=sum(int(readings[i]) for i in participants),
+                participants=participants,
+                bytes_sent=network.trace.total_bytes_sent,
+                frames_sent=network.trace.total_frames_sent,
+                stats={
+                    "sensor_count": topology.node_count - 1,
+                    "tree_size": len(joined),
+                    "contributor_count_reported": root.child_count,
+                    "coverage": (
+                        root.child_count / max(len(eligible), 1)
+                    ),
+                    "retries_used": sum(
+                        node.retries_used
+                        for node in network.iter_nodes()
+                        if isinstance(node, _TagNode)
+                    ),
+                    "reparent_count": sum(
+                        node.reparent_count
+                        for node in network.iter_nodes()
+                        if isinstance(node, _TagNode)
+                    ),
+                    "loss_rate": network.trace.loss_rate(),
+                    "sent_bytes_by_node": dict(
+                        network.trace.sent_bytes_by_node
+                    ),
+                    "latency": root.last_result_time,
+                    "trace": network.trace.summary(),
+                },
+            )

@@ -134,8 +134,8 @@ def parse_fault_spec(spec: str) -> ServiceFaultSchedule:
         loss=<light|heavy>[@<epoch>]   burst-loss channel from <epoch>
 
     Example: ``crash=2@3+4,loss=light@1``.  Counts and epochs are
-    non-negative, and a revival comes at least one epoch after its
-    crash.
+    non-negative, a revival comes at least one epoch after its crash,
+    and ``loss=`` appears at most once.
     """
     crashes: List[_CrashOrder] = []
     loss_level: Optional[str] = None
@@ -161,6 +161,11 @@ def parse_fault_spec(spec: str) -> ServiceFaultSchedule:
                     )
                 )
             elif key == "loss":
+                if loss_level is not None:
+                    raise ConfigurationError(
+                        "a schedule holds one loss level, so loss= "
+                        "must appear at most once"
+                    )
                 level, _, when = value.partition("@")
                 if level not in LOSS_PRESETS:
                     raise ConfigurationError(

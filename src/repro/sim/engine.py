@@ -262,6 +262,11 @@ class EventEngine:
         """Fire-and-forget :meth:`schedule_at` (see :meth:`post`)."""
         self.post(when - self._now, callback, priority=priority)
 
+    def clear(self) -> None:
+        """Drop every pending event unrun; the clock stays where it is."""
+        self._heap.clear()
+        self._cancelled_pending = 0
+
     def run(
         self,
         until: Optional[float] = None,

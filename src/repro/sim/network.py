@@ -1,8 +1,9 @@
 """Network container: wires topology, engine, radio, MACs, and nodes.
 
 :class:`Network` is the composition root of a simulation run.  Protocol
-runners construct one with a node factory, run the engine, and read
-results off their node objects and the trace collector.
+runners construct one with a node factory, run the engine, read
+results off their node objects and the trace collector, and close it
+(:meth:`Network.close`).
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class Network:
         self._macs: Dict[int, CsmaMac] = {}
         #: ids of the fail-stopped nodes; kept by Node.kill/revive.
         self.down: Set[int] = set()
+        #: the shared medium; None while the factory builds the nodes
+        #: and after :meth:`close`.
+        self.radio: Optional[RadioMedium] = None
         factory = node_factory if node_factory is not None else Node
         self.nodes: Dict[int, Node] = {
             node_id: factory(node_id, self)
@@ -153,7 +157,7 @@ class Network:
             self.down.discard(node_id)
         # A node factory may kill its node before the radio exists;
         # __init__ syncs the hook once the radio is built.
-        if hasattr(self, "radio"):
+        if self.radio is not None:
             self._sync_liveness_hook()
 
     def _sync_liveness_hook(self) -> None:
@@ -257,6 +261,35 @@ class Network:
                 edges=DEFAULT_EVENT_EDGES,
             )
         self._metrics_checkpoint = current
+
+    # ------------------------------------------------------------------
+    # Lifetime
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Break the reference cycles of a finished run.
+
+        Every node points back at its network, the radio's hooks are
+        bound methods of it, the fault injector holds it, and pending
+        events close over nodes: left alone, a finished run is one
+        cyclic graph that only a full garbage collection frees.
+        Dropping the node and MAC tables, the radio, the injector and
+        any pending events lets reference counting free it as soon as
+        the caller lets go.  The topology, clock, streams and trace stay
+        readable; a closed network cannot run again.  One-shot runners
+        close theirs once the outcome is built (``with Network(...)``);
+        standing sessions keep theirs open across epochs.
+        """
+        self.nodes = {}
+        self._macs = {}
+        self.radio = None
+        self.injector = None
+        self.engine.clear()
+
+    def __enter__(self) -> "Network":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def iter_nodes(self) -> Iterator[Node]:
         """Iterate nodes in id order."""

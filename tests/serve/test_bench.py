@@ -260,3 +260,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error" in err and "must" in err
         assert "Traceback" not in err
+
+    def test_repeated_loss_clause_exits_2(self, capsys):
+        # It used to exit 0 and never arm the light channel.
+        assert main([
+            "serve", "--bench", "--robust", "--duration", "1",
+            "--qps", "5", "--nodes", "40",
+            "--faults", "loss=light@1,loss=heavy@2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "loss=heavy@2" in err and "at most once" in err
+        assert "Traceback" not in err

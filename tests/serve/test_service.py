@@ -251,6 +251,12 @@ class TestFaultSpecParsing:
         with pytest.raises(ConfigurationError, match=problem):
             parse_fault_spec(spec)
 
+    def test_repeated_loss_clause_rejected(self):
+        # A schedule holds one loss level; the second clause used to
+        # replace the first silently.
+        with pytest.raises(ConfigurationError, match="loss=heavy@2"):
+            parse_fault_spec("loss=light@1,loss=heavy@2")
+
     def test_boundary_values_accepted(self):
         schedule = parse_fault_spec("crash=0@0+1,loss=light@0")
         assert schedule.crashes[0].count == 0
