@@ -29,7 +29,7 @@ from ..sim.messages import TreeColor
 from ..sim.rng import RngStreams
 from .config import IpdaConfig
 from .integrity import verify_round
-from .slicing import SliceAssembler, plan_slices
+from .slicing import SliceAssembler, plan_round
 from .trees import DisjointTrees, build_disjoint_trees
 
 __all__ = [
@@ -187,16 +187,15 @@ def run_lossless_round(
     participants: Set[int] = set()
     slice_transmissions = 0
     flows: Optional[Dict[int, NodeFlows]] = {} if record_flows else None
+    requests = []
     for node_id in sorted(readings):
         if contributors is not None and node_id not in contributors:
             continue
         if node_id in dead:
             continue  # fail-stopped before it could slice
-        role = trees.role_of(node_id)
         heard = trees.heard.get(node_id, {})
-        candidates = {}
-        for color in (TreeColor.RED, TreeColor.BLUE):
-            candidates[color] = sorted(
+        candidates = [
+            sorted(
                 [
                     a
                     for a in heard.get(color, ())
@@ -207,18 +206,23 @@ def run_lossless_round(
                     )
                 ]
             )
-        try:
-            plans = plan_slices(
+            for color in (TreeColor.RED, TreeColor.BLUE)
+        ]
+        requests.append(
+            (
                 node_id,
                 int(readings[node_id]),
-                own_color=role.color,
-                red_candidates=candidates[TreeColor.RED],
-                blue_candidates=candidates[TreeColor.BLUE],
-                pieces=cfg.slices,
-                rng=generator,
-                magnitude=magnitude,
+                trees.role_of(node_id).color,
+                *candidates,
             )
-        except ProtocolError:
+        )
+    # One generator call draws the whole round's Phase II, in node order.
+    round_plans = plan_round(
+        requests, pieces=cfg.slices, magnitude=magnitude, rng=generator
+    )
+    for request, plans in zip(requests, round_plans):
+        node_id = request[0]
+        if plans is None:
             continue  # factor (b): not enough aggregators in range
         participants.add(node_id)
         node_flow = (

@@ -6,10 +6,21 @@ cuts are made — one scattered to red aggregators, one to blue — so each
 tree reconstructs the full total.  Because arithmetic is integer, no
 precision is lost, which is what lets iPDA report exact aggregates
 (the paper's "Accuracy" design goal).
+
+Every random draw of a plan is a bounded integer whose bounds depend
+only on the candidate counts, the piece count and the magnitude, so
+they are all known before the first draw.  :func:`plan_slices` takes a
+node's draws in one ``Generator.integers(lows, highs)`` call and
+:func:`plan_round` takes a whole round's in one.  With array bounds
+numpy draws element by element through the same bounded primitive that
+``Generator.choice`` and scalar ``integers`` use, so the values and the
+generator's final state equal those of one ``choice(n, k,
+replace=False)`` per colour followed by scalar cut draws.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,10 +33,24 @@ __all__ = [
     "slice_value",
     "SlicePlan",
     "plan_slices",
+    "plan_round",
     "PlannedSlice",
     "schedule_fanout",
     "SliceAssembler",
 ]
+
+
+#: ``Generator.choice(n, k, replace=False)`` runs Floyd's algorithm
+#: unless ``n`` exceeds this and ``k > n // _TAIL_SHUFFLE_DIVISOR``; then
+#: it shuffles the tail of ``range(n)`` (numpy's own thresholds).
+_FLOYD_MAX_POPULATION = 10_000
+_TAIL_SHUFFLE_DIVISOR = 50
+
+#: Bound tuples are shared across nodes and rounds; the cap keeps a
+#: long-lived process whose magnitudes vary by round from growing them.
+_BOUNDS_CACHE_SIZE = 4096
+
+_Bounds = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def slice_value(
@@ -40,38 +65,108 @@ def slice_value(
     The first ``pieces - 1`` components are uniform on
     ``[-magnitude, magnitude]``; the last makes the sum exact.  With
     ``pieces == 1`` the "cut" is the value itself (the l = 1 series of
-    the evaluation, i.e. no privacy).
+    the evaluation, i.e. no privacy).  Each draw is a scalar
+    ``rng.integers`` call: for the one or two draws of a single cut
+    that is cheaper than one array-bound call.
+    """
+    lows, highs = _cut_bounds(pieces, magnitude)
+    drawn = [int(rng.integers(low, high)) for low, high in zip(lows, highs)]
+    return _replay_cut(value, pieces, magnitude, drawn, 0)[0]
+
+
+def _chunks(span: int) -> int:
+    """32-bit chunks per component of a window wider than 62 bits."""
+    return (span.bit_length() + 8 + 31) // 32
+
+
+@functools.lru_cache(maxsize=_BOUNDS_CACHE_SIZE)
+def _cut_bounds(pieces: int, magnitude: int) -> _Bounds:
+    """``(lows, highs)`` of one cut's draws, each on ``[low, high)``.
+
+    ``pieces - 1`` draws on ``[-magnitude, magnitude]``.  numpy
+    generators cap at 64 bits, so a wider window (power-mean components
+    are big Python ints) composes each component from 32-bit chunks
+    with an 8-bit rejection margin, which makes the modulo bias
+    negligible for simulation purposes.
     """
     if pieces < 1:
         raise ProtocolError("cannot slice into fewer than 1 piece")
     if magnitude < 1:
         raise ProtocolError("magnitude must be >= 1")
-    if pieces == 1:
-        return [int(value)]
-    randoms = [
-        _uniform_int(rng, -magnitude, magnitude) for _ in range(pieces - 1)
-    ]
-    last = int(value) - sum(randoms)
-    return randoms + [last]
+    span = 2 * magnitude + 1
+    if span <= 1 << 62:
+        count = pieces - 1
+        return (-magnitude,) * count, (magnitude + 1,) * count
+    count = (pieces - 1) * _chunks(span)
+    return (0,) * count, (1 << 32,) * count
 
 
-def _uniform_int(rng: np.random.Generator, low: int, high: int) -> int:
-    """Uniform integer in ``[low, high]``, supporting arbitrary precision.
+def _replay_cut(
+    value: int, pieces: int, magnitude: int, drawn: List[int], at: int
+) -> Tuple[List[int], int]:
+    """The cut that ``drawn[at:]`` makes under :func:`_cut_bounds`.
 
-    numpy generators cap at 64 bits; larger windows (power-mean
-    components are big Python ints) are composed from 32-bit chunks with
-    an 8-bit rejection margin, which makes the modulo bias negligible
-    for simulation purposes.
+    Returns the pieces and the index of the first draw left over.
     """
-    span = high - low + 1
-    if span <= (1 << 62):
-        return int(rng.integers(low, high + 1))
-    bits = span.bit_length() + 8
-    chunks = (bits + 31) // 32
-    value = 0
-    for _ in range(chunks):
-        value = (value << 32) | int(rng.integers(0, 1 << 32))
-    return low + value % span
+    span = 2 * magnitude + 1
+    count = pieces - 1
+    if span <= 1 << 62:
+        randoms = drawn[at : at + count]
+        at += count
+    else:
+        chunks = _chunks(span)
+        randoms = []
+        for _ in range(count):
+            combined = 0
+            for chunk in drawn[at : at + chunks]:
+                combined = (combined << 32) | chunk
+            at += chunks
+            randoms.append(combined % span - magnitude)
+    return randoms + [int(value) - sum(randoms)], at
+
+
+def _choice_bounds(n: int, k: int) -> _Bounds:
+    """``(lows, highs)`` of the draws ``choice(n, k, replace=False)`` makes.
+
+    Floyd's algorithm draws on ``[0, j]`` for ``j = n-k .. n-1``, then
+    shuffles its picks with draws on ``[0, i]`` for ``i = k-1 .. 1``.
+    The tail shuffle draws on ``[0, i]`` for ``i = n-1 .. max(n-k, 1)``.
+    """
+    if n > _FLOYD_MAX_POPULATION and k > n // _TAIL_SHUFFLE_DIVISOR:
+        highs = tuple(range(n, max(n - k, 1), -1))
+    else:
+        highs = tuple(range(n - k + 1, n + 1)) + tuple(range(k, 1, -1))
+    return (0,) * len(highs), highs
+
+
+def _replay_choice(
+    n: int, k: int, drawn: List[int], at: int
+) -> Tuple[List[int], int]:
+    """The uniform ``k``-subset of ``range(n)`` that ``drawn[at:]`` picks.
+
+    Returns the sorted picks and the index of the first draw left over.
+    The draws are those of :func:`_choice_bounds`, and the picks are the
+    set ``Generator.choice(n, k, replace=False)`` returns for them.
+    Floyd: a draw that is already taken picks ``j`` itself.  Tail
+    shuffle: a partial Fisher-Yates over ``range(n)`` whose picks are
+    its last ``k`` slots.  Either shuffle's order is discarded.
+    """
+    if n > _FLOYD_MAX_POPULATION and k > n // _TAIL_SHUFFLE_DIVISOR:
+        slots: Dict[int, int] = {}
+        for i in range(n - 1, max(n - k, 1) - 1, -1):
+            j = drawn[at]
+            at += 1
+            slots[i], slots[j] = slots.get(j, j), slots.get(i, i)
+        return sorted(slots.get(i, i) for i in range(n - k, n)), at
+    # k is a slice count, small enough that a list beats a set here.
+    picks: List[int] = []
+    for j in range(n - k, n):
+        draw = drawn[at]
+        at += 1
+        picks.append(j if draw in picks else draw)
+    picks.sort()
+    # The shuffle's k - 1 draws only reorder the picks.
+    return picks, at + k - 1 if k else at
 
 
 @dataclass
@@ -122,25 +217,44 @@ def plan_slices(
     Raises :class:`ProtocolError` when a colour has fewer than ``l``
     candidates — the node must then sit out (data-loss factor (b) of
     Section IV-B.3).
+
+    Every draw comes from one ``rng.integers(lows, highs)`` call, in
+    this order: per colour, red then blue, the aggregator subset (as
+    ``rng.choice(len(candidates), needed, replace=False)`` would draw
+    it) and then the cut (as :func:`slice_value` would).  A node short
+    of red candidates draws nothing; one short of blue still takes its
+    red draws.  ``integers`` is the only method called on ``rng``.
     """
+    if node_id in red_candidates or node_id in blue_candidates:
+        color = TreeColor.RED if node_id in red_candidates else TreeColor.BLUE
+        raise ProtocolError(
+            f"candidate list for {color.value} must exclude node {node_id}"
+        )
+    lows, highs, short = _draw_bounds(
+        own_color, len(red_candidates), len(blue_candidates), pieces, magnitude
+    )
+    drawn = rng.integers(lows, highs).tolist() if lows else []
+    if short is not None:
+        count = len(
+            red_candidates if short is TreeColor.RED else blue_candidates
+        )
+        raise ProtocolError(
+            f"node {node_id} has only {count} {short.value} "
+            f"aggregator(s) in range but needs "
+            f"{pieces - 1 if own_color is short else pieces}"
+        )
     plans: Dict[TreeColor, SlicePlan] = {}
+    at = 0
     for color, candidates in (
-        (TreeColor.RED, list(red_candidates)),
-        (TreeColor.BLUE, list(blue_candidates)),
+        (TreeColor.RED, sorted(red_candidates)),
+        (TreeColor.BLUE, sorted(blue_candidates)),
     ):
-        if node_id in candidates:
-            raise ProtocolError(
-                f"candidate list for {color.value} must exclude node {node_id}"
-            )
         includes_self = own_color is color
-        remote_needed = pieces - 1 if includes_self else pieces
-        if len(candidates) < remote_needed:
-            raise ProtocolError(
-                f"node {node_id} has only {len(candidates)} {color.value} "
-                f"aggregator(s) in range but needs {remote_needed}"
-            )
-        chosen = _choose(candidates, remote_needed, rng)
-        cut = slice_value(value, pieces, rng, magnitude=magnitude)
+        picks, at = _replay_choice(
+            len(candidates), pieces - 1 if includes_self else pieces, drawn, at
+        )
+        cut, at = _replay_cut(value, pieces, magnitude, drawn, at)
+        chosen = [candidates[pick] for pick in picks]
         if includes_self:
             kept: Optional[int] = cut[0]
             outgoing = list(zip(chosen, cut[1:]))
@@ -148,6 +262,109 @@ def plan_slices(
             kept = None
             outgoing = list(zip(chosen, cut))
         plans[color] = SlicePlan(color=color, kept=kept, outgoing=outgoing)
+    return plans
+
+
+@functools.lru_cache(maxsize=_BOUNDS_CACHE_SIZE)
+def _draw_bounds(
+    own_color: Optional[TreeColor],
+    red_count: int,
+    blue_count: int,
+    pieces: int,
+    magnitude: int,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Optional[TreeColor]]:
+    """``(lows, highs, short)``: the draws :func:`plan_slices` makes.
+
+    ``short`` is the first colour with too few candidates, or None; the
+    draws stop before it.
+    """
+    lows: Tuple[int, ...] = ()
+    highs: Tuple[int, ...] = ()
+    cut_lows, cut_highs = _cut_bounds(pieces, magnitude)
+    for color, count in (
+        (TreeColor.RED, red_count),
+        (TreeColor.BLUE, blue_count),
+    ):
+        needed = pieces - 1 if own_color is color else pieces
+        if count < needed:
+            return lows, highs, color
+        choice_lows, choice_highs = _choice_bounds(count, needed)
+        lows += choice_lows + cut_lows
+        highs += choice_highs + cut_highs
+    return lows, highs, None
+
+
+class _Drawn:
+    """A round's values from one ``integers`` call, handed out in order.
+
+    Stands in for the generator inside :func:`plan_slices`: its
+    ``integers(lows, highs)`` returns the next ``len(lows)`` values.
+    """
+
+    __slots__ = ("_values", "_at")
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+        self._at = 0
+
+    def integers(
+        self, lows: Sequence[int], highs: Sequence[int]
+    ) -> np.ndarray:
+        start = self._at
+        self._at = stop = start + len(lows)
+        return self._values[start:stop]
+
+
+SliceRequest = Tuple[
+    int, int, Optional[TreeColor], Sequence[int], Sequence[int]
+]
+
+
+def plan_round(
+    requests: Sequence[SliceRequest],
+    *,
+    pieces: int,
+    magnitude: int,
+    rng: np.random.Generator,
+) -> List[Optional[Dict[TreeColor, SlicePlan]]]:
+    """Plan a whole round's slices from one ``rng.integers`` call.
+
+    ``requests`` holds one ``(node_id, value, own_color, red_candidates,
+    blue_candidates)`` per node.  The plans, and the state ``rng`` is
+    left in, are those of calling :func:`plan_slices` on ``rng`` for
+    each request in order.  Returns each node's plans, or None where it
+    sits out.
+    """
+    lows: List[int] = []
+    highs: List[int] = []
+    for node_id, _value, own_color, red, blue in requests:
+        if node_id in red or node_id in blue:
+            continue  # plan_slices rejects it before drawing
+        node_lows, node_highs, _short = _draw_bounds(
+            own_color, len(red), len(blue), pieces, magnitude
+        )
+        lows += node_lows
+        highs += node_highs
+    drawn = _Drawn(
+        rng.integers(lows, highs) if lows else np.empty(0, dtype=np.int64)
+    )
+    plans: List[Optional[Dict[TreeColor, SlicePlan]]] = []
+    for node_id, value, own_color, red, blue in requests:
+        try:
+            plans.append(
+                plan_slices(
+                    node_id,
+                    value,
+                    own_color=own_color,
+                    red_candidates=red,
+                    blue_candidates=blue,
+                    pieces=pieces,
+                    rng=drawn,
+                    magnitude=magnitude,
+                )
+            )
+        except ProtocolError:
+            plans.append(None)  # factor (b): not enough aggregators in range
     return plans
 
 
@@ -204,16 +421,6 @@ def schedule_fanout(
         )
         for i, (color, target, piece, delay) in enumerate(drawn)
     ]
-
-
-def _choose(
-    candidates: Sequence[int], count: int, rng: np.random.Generator
-) -> List[int]:
-    if count == 0:
-        return []
-    ordered = sorted(candidates)
-    picked = rng.choice(len(ordered), size=count, replace=False)
-    return [ordered[int(i)] for i in sorted(picked)]
 
 
 class SliceAssembler:

@@ -69,16 +69,24 @@ class ScheduledEvent:
 
     @property
     def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
+        """True once cancelled while live, or dropped by ``clear()``."""
         return self._entry[3] is None
 
     def cancel(self) -> None:
-        """Mark the event so the engine skips it when it comes due."""
+        """Mark the event so the engine skips it when it comes due.
+
+        Does nothing once the event has fired or been dropped by
+        :meth:`EventEngine.clear`: only a live event counts as cancelled.
+        """
         entry = self._entry
-        if entry[3] is not None:
-            entry[3] = None
-            if self._engine is not None:
-                self._engine._note_cancellation()
+        engine = self._engine
+        if entry[3] is None:
+            return
+        if engine is not None and not engine._on_heap(entry):
+            return  # already fired, or dropped by clear()
+        entry[3] = None
+        if engine is not None:
+            engine._note_cancellation()
 
     def _sort_key(self) -> Tuple[float, int, int]:
         entry = self._entry
@@ -170,6 +178,16 @@ class EventEngine:
     def compactions(self) -> int:
         """Heap compactions performed over the engine's lifetime."""
         return self._compactions
+
+    def _on_heap(self, entry: List[Any]) -> bool:
+        """Is ``entry`` still on the heap?
+
+        The heap pops in time order and nothing is scheduled in the
+        past, so every entry earlier than ``now`` has left it; only one
+        due exactly now needs a look.
+        """
+        when = entry[0]
+        return when > self._now or (when == self._now and entry in self._heap)
 
     def _note_cancellation(self) -> None:
         """Bookkeeping hook invoked by :meth:`ScheduledEvent.cancel`."""
@@ -263,7 +281,13 @@ class EventEngine:
         self.post(when - self._now, callback, priority=priority)
 
     def clear(self) -> None:
-        """Drop every pending event unrun; the clock stays where it is."""
+        """Drop every pending event unrun; the clock stays where it is.
+
+        Handles of the dropped events read as cancelled, and cancelling
+        one does nothing.
+        """
+        for entry in self._heap:
+            entry[3] = None
         self._heap.clear()
         self._cancelled_pending = 0
 

@@ -8,11 +8,19 @@ table or CSV — an RNG draw reordered, a float formatted differently, a
 tie broken another way — fails here, which is the repo's
 cold before/after equivalence gate for performance work.
 
+``privacy-suite`` and ``tune-eval`` are registered through
+``runner.get_spec`` rather than :data:`repro.experiments.SPECS`, so
+they carry their own parameterisations and digests
+(:data:`SUBSYSTEM_DIGESTS`, captured from the 1.15.0 tree).  Their
+tiny sweeps cover l = 2 and 3, Eschenauer-Gligor and pairwise keys,
+crashed nodes, and sensors that sit out short of red and short of blue
+aggregators.
+
 If a change is *meant* to alter results, regenerate with::
 
     PYTHONPATH=src python tests/experiments/test_golden_outputs.py
 
-and paste the printed dict, explaining the semantic change in the
+and paste the printed dicts, explaining the semantic change in the
 commit message.
 """
 
@@ -104,8 +112,46 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: subsystem spec -> tiny parameterisation
+SUBSYSTEM_KWARGS = {
+    "privacy-suite": {
+        "slice_counts": (2, 3),
+        "schemes": ("eg-1000/50", "pairwise"),
+        "node_count": 200,
+        "mi_trials": 2,
+        "disclosure_trials": 3,
+        "collusion_trials": 3,
+    },
+    "tune-eval": {
+        "grid": (
+            (2, 5, "eg-1000/50", "fixed"),
+            (3, 0, "pairwise", "adaptive-3"),
+        ),
+        "node_count": 200,
+        "mi_trials": 2,
+        "disclosure_trials": 3,
+        "collusion_trials": 3,
+        "accuracy_trials": 2,
+        "crash_fraction": 0.1,
+    },
+}
+
+#: subsystem spec -> (sha256 of table.to_text(), sha256 of table.to_csv())
+SUBSYSTEM_DIGESTS = {
+    "privacy-suite": (
+        "9551eff78e52974cea7f994e3be44cd6abe28810f229dd28aa78f147bf746afb",
+        "831b915825588884426acbd7b4c5163692f860bd7d242050fdc5bcb86df8300d",
+    ),
+    "tune-eval": (
+        "f874482decc3327518f97731be354238c933ccb42cfdcf113c5066de973259fd",
+        "063124533826acb9d42b983b61db7c12b2dbeadc325056bb15e0cf3eb7868446",
+    ),
+}
+
+
 def _digests(name):
-    table = execute(name, jobs=1, cache=False, **TINY_KWARGS[name])
+    kwargs = SUBSYSTEM_KWARGS.get(name, TINY_KWARGS.get(name))
+    table = execute(name, jobs=1, cache=False, **kwargs)
     return (
         hashlib.sha256(table.to_text().encode()).hexdigest(),
         hashlib.sha256(table.to_csv().encode()).hexdigest(),
@@ -125,12 +171,28 @@ class TestGoldenOutputs:
         )
 
 
+class TestSubsystemGoldenOutputs:
+    def test_every_subsystem_spec_has_a_golden_digest(self):
+        assert set(SUBSYSTEM_DIGESTS) == set(SUBSYSTEM_KWARGS)
+
+    @pytest.mark.parametrize("name", sorted(SUBSYSTEM_DIGESTS))
+    def test_output_matches_golden_digest(self, name):
+        assert _digests(name) == SUBSYSTEM_DIGESTS[name], (
+            f"{name} output changed relative to the golden digests; "
+            "see module docstring before regenerating"
+        )
+
+
 if __name__ == "__main__":  # regeneration helper
-    print("GOLDEN_DIGESTS = {")
-    for _name in sorted(TINY_KWARGS):
-        _text, _csv = _digests(_name)
-        print(f'    "{_name}": (')
-        print(f'        "{_text}",')
-        print(f'        "{_csv}",')
-        print("    ),")
-    print("}")
+    for _dict_name, _names in (
+        ("GOLDEN_DIGESTS", TINY_KWARGS),
+        ("SUBSYSTEM_DIGESTS", SUBSYSTEM_KWARGS),
+    ):
+        print(f"{_dict_name} = {{")
+        for _name in sorted(_names):
+            _text, _csv = _digests(_name)
+            print(f'    "{_name}": (')
+            print(f'        "{_text}",')
+            print(f'        "{_csv}",')
+            print("    ),")
+        print("}")

@@ -257,6 +257,40 @@ class TestCompaction:
         assert engine.cancelled_events == 1
         assert engine.pending_events == 0
 
+    def test_cancelling_a_fired_event_does_nothing(self):
+        # Regression: the handle still held its callback after firing,
+        # so a late cancel() drove pending_events to -1.
+        engine = EventEngine()
+        handle = engine.schedule(1.0, lambda: None)
+        engine.run()
+        handle.cancel()
+        assert engine.pending_events == 0
+        assert engine.cancelled_events == 0
+        assert not handle.cancelled
+
+    def test_cancelling_a_cleared_event_does_nothing(self):
+        engine = EventEngine()
+        handle = engine.schedule(1.0, lambda: None)
+        engine.clear()
+        handle.cancel()
+        assert engine.pending_events == 0
+        assert engine.cancelled_events == 0
+
+    def test_cancel_at_the_current_instant(self):
+        # Entries due exactly now may or may not have fired yet.
+        engine = EventEngine()
+        fired = []
+        early = engine.schedule(
+            1.0, lambda: fired.append("early"), priority=-1
+        )
+        late = engine.schedule(1.0, lambda: fired.append("late"), priority=1)
+        engine.schedule(1.0, lambda: (early.cancel(), late.cancel()))
+        engine.run()
+        assert fired == ["early"]
+        assert engine.cancelled_events == 1
+        assert engine.pending_events == 0
+        assert not early.cancelled and late.cancelled
+
     def test_compaction_during_run_keeps_heap_alive(self):
         # Regression: _maybe_compact used to rebind self._heap to a new
         # list while run() held a local alias to the old one.  A
