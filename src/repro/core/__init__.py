@@ -8,7 +8,6 @@ from .integrity import (
     VerificationResult,
 )
 from .multitree import (
-    MultiTrees,
     MultiTreeVerification,
     build_multi_trees,
     multitree_isolation_probability,
@@ -40,7 +39,6 @@ __all__ = [
     "NodeRole",
     "build_disjoint_trees",
     "role_probabilities",
-    "MultiTrees",
     "MultiTreeVerification",
     "build_multi_trees",
     "run_multitree_round",

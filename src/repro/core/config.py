@@ -26,6 +26,10 @@ class RoleMode(str, Enum):
     #: Equation 1: p = min(1, k / (N_blue + N_red)), colour probabilities
     #: proportional to the *opposite* colour's HELLO count (balancing).
     ADAPTIVE = "adaptive"
+    #: Section III-B's m-tree rule, for any palette: every node becomes
+    #: an aggregator of each of the m colours with probability 1/m (one
+    #: ``rng.integers(0, m)`` draw).  FIXED and ADAPTIVE need two colours.
+    UNIFORM = "uniform"
 
 
 @dataclass
@@ -139,7 +143,7 @@ class IpdaConfig:
     aggregator_budget:
         ``k`` in the adaptive probability (Section III-B; paper uses 4).
     role_mode:
-        Equation 2 (fixed) or Equation 1 (adaptive).
+        Equation 2 (fixed), Equation 1 (adaptive), or the m-tree uniform.
     threshold:
         ``Th`` — base station accepts iff ``|S_b - S_r| <= Th``.
     slice_magnitude:

@@ -2,12 +2,12 @@
 
 Section III-B notes the disjoint tree construction "can be easily
 generalized to build multiple aggregation trees (m > 2)" at the price
-of needing a denser network.  This module implements that
-generalisation end to end on the logical pipeline:
+of needing a denser network.  This module runs that generalisation on
+the logical pipeline:
 
-* Phase I with ``m`` colours — a node decides once it has heard every
-  colour, picks each colour with probability ``1/m`` (or the adaptive
-  budget rule), and joins that colour's tree;
+* Phase I with ``m`` colours — the one Phase-I builder over
+  ``TreeColor.palette(m)`` with :attr:`RoleMode.UNIFORM`: a node decides
+  once it has heard every colour and picks each with probability ``1/m``;
 * Phase II with ``m`` independent cuts per reading — ``m*l - 1``
   transmissions per aggregator (the m = 2 case reduces to the paper's
   ``2l - 1``);
@@ -23,125 +23,25 @@ quantified by :func:`multitree_isolation_probability` and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
-from ..errors import AnalysisError, ProtocolError
+from ..errors import AnalysisError, IntegrityError, ProtocolError
 from ..net.topology import Topology
+from ..sim.messages import TreeColor
+from .config import IpdaConfig, RoleMode
 from .slicing import SliceAssembler, slice_value
+from .trees import DisjointTrees, build_disjoint_trees
 
 __all__ = [
-    "MultiTreeRole",
-    "MultiTrees",
     "build_multi_trees",
     "MultiTreeVerification",
     "run_multitree_round",
     "multitree_isolation_probability",
     "multitree_messages_per_node",
 ]
-
-
-@dataclass(frozen=True)
-class MultiTreeRole:
-    """Phase-I outcome for one node in the m-tree setting."""
-
-    color: Optional[int]  # tree index 0..m-1, None for non-participants
-    parent: Optional[int] = None
-    hops: int = 0
-
-    @property
-    def is_aggregator(self) -> bool:
-        """True when the node joined one of the m trees."""
-        return self.color is not None
-
-
-@dataclass
-class MultiTrees:
-    """Result of Phase I with m colours."""
-
-    topology: Topology
-    base_station: int
-    tree_count: int
-    roles: Dict[int, MultiTreeRole] = field(default_factory=dict)
-    heard: Dict[int, List[FrozenSet[int]]] = field(default_factory=dict)
-
-    def role_of(self, node_id: int) -> MultiTreeRole:
-        """Role of ``node_id`` (undecided nodes read as colourless)."""
-        return self.roles.get(node_id, MultiTreeRole(color=None))
-
-    def aggregators(self, color: int) -> Set[int]:
-        """Aggregators of tree ``color`` (base station excluded)."""
-        self._check_color(color)
-        return {
-            node_id
-            for node_id, role in self.roles.items()
-            if role.color == color and node_id != self.base_station
-        }
-
-    def heard_aggregators(self, node_id: int, color: int) -> FrozenSet[int]:
-        """Tree-``color`` aggregators whose HELLO ``node_id`` heard."""
-        self._check_color(color)
-        by_color = self.heard.get(node_id)
-        if by_color is None:
-            return frozenset()
-        return by_color[color]
-
-    def is_covered(self, node_id: int) -> bool:
-        """Heard at least one aggregator of *every* colour."""
-        if node_id == self.base_station:
-            return True
-        by_color = self.heard.get(node_id)
-        if by_color is None:
-            return False
-        return all(by_color[c] for c in range(self.tree_count))
-
-    def covered_nodes(self) -> Set[int]:
-        """All covered nodes, base station included."""
-        return {
-            node_id
-            for node_id in range(self.topology.node_count)
-            if self.is_covered(node_id)
-        }
-
-    def can_participate(self, node_id: int, slices: int) -> bool:
-        """Covered and enough slice targets on every tree."""
-        if node_id == self.base_station:
-            return True
-        role = self.role_of(node_id)
-        for color in range(self.tree_count):
-            candidates = set(self.heard_aggregators(node_id, color))
-            candidates.discard(node_id)
-            needed = slices - 1 if role.color == color else slices
-            if len(candidates) < needed:
-                return False
-        return True
-
-    def participants(self, slices: int) -> Set[int]:
-        """Sensors able to contribute their reading."""
-        return {
-            node_id
-            for node_id in range(self.topology.node_count)
-            if node_id != self.base_station
-            and self.can_participate(node_id, slices)
-        }
-
-    def is_node_disjoint(self) -> bool:
-        """Each node sits on at most one tree (trivially true by role)."""
-        seen: Set[int] = set()
-        for color in range(self.tree_count):
-            aggs = self.aggregators(color)
-            if aggs & seen:
-                return False
-            seen |= aggs
-        return True
-
-    def _check_color(self, color: int) -> None:
-        if not 0 <= color < self.tree_count:
-            raise ProtocolError(
-                f"tree colour {color} out of range 0..{self.tree_count - 1}"
-            )
 
 
 def build_multi_trees(
@@ -151,60 +51,22 @@ def build_multi_trees(
     *,
     base_station: int = 0,
     max_rounds: Optional[int] = None,
-) -> MultiTrees:
+) -> DisjointTrees:
     """Run the logical Phase-I process with ``tree_count`` colours.
 
     The base station announces itself as an aggregator of every colour;
     a node decides once it has heard all colours, choosing each with
     probability ``1/m`` (the Equation-2 regime generalised).
     """
-    if tree_count < 2:
-        raise ProtocolError("need at least 2 trees (the paper's m = 2)")
-    n = topology.node_count
-    if not 0 <= base_station < n:
-        raise ProtocolError(f"base station id {base_station} out of range")
-    limit = max_rounds if max_rounds is not None else n + 1
-
-    heard: Dict[int, List[Set[int]]] = {
-        node_id: [set() for _ in range(tree_count)] for node_id in range(n)
-    }
-    roles: Dict[int, MultiTreeRole] = {}
-    hops: Dict[int, int] = {base_station: 0}
-    announcements: List[Tuple[int, int, int]] = [
-        (base_station, color, 0) for color in range(tree_count)
-    ]
-
-    for _round in range(limit):
-        if not announcements:
-            break
-        for sender, color, _sender_hops in announcements:
-            for nbr in topology.neighbors(sender):
-                heard[nbr][color].add(sender)
-        announcements = []
-        for node_id in range(n):
-            if node_id == base_station or node_id in roles:
-                continue
-            if not all(heard[node_id][c] for c in range(tree_count)):
-                continue
-            color = int(rng.integers(0, tree_count))
-            heard_own = heard[node_id][color]
-            parent = min(heard_own, key=lambda a: (hops.get(a, 0), a))
-            node_hops = hops.get(parent, 0) + 1
-            roles[node_id] = MultiTreeRole(
-                color=color, parent=parent, hops=node_hops
-            )
-            hops[node_id] = node_hops
-            announcements.append((node_id, color, node_hops))
-
-    return MultiTrees(
-        topology=topology,
+    if not 2 <= tree_count <= len(TreeColor):
+        raise ProtocolError(f"need 2..{len(TreeColor)} trees, got {tree_count}")
+    return build_disjoint_trees(
+        topology,
+        IpdaConfig(role_mode=RoleMode.UNIFORM),
+        rng,
         base_station=base_station,
-        tree_count=tree_count,
-        roles=roles,
-        heard={
-            node_id: [frozenset(s) for s in by_color]
-            for node_id, by_color in heard.items()
-        },
+        max_rounds=max_rounds,
+        colors=TreeColor.palette(tree_count),
     )
 
 
@@ -272,8 +134,6 @@ class MultiTreeVerification:
         """Midpoint of the majority cluster's sums."""
         majority = self.majority_trees
         if not self.accepted:
-            from ..errors import IntegrityError
-
             raise IntegrityError(
                 f"no majority among tree sums {self.sums} (Th="
                 f"{self.threshold})"
@@ -286,7 +146,7 @@ class MultiTreeVerification:
 class MultiTreeRound:
     """Outcome of one lossless m-tree round."""
 
-    trees: MultiTrees
+    trees: DisjointTrees
     sums: List[int]
     verification: MultiTreeVerification
     participants: Set[int]
@@ -313,10 +173,15 @@ def run_multitree_round(
     seed: int = 0,
     base_station: int = 0,
     polluters: Optional[Mapping[int, int]] = None,
-    trees: Optional[MultiTrees] = None,
+    trees: Optional[DisjointTrees] = None,
     magnitude: Optional[int] = None,
 ) -> MultiTreeRound:
-    """One lossless aggregation round over ``tree_count`` disjoint trees."""
+    """One lossless aggregation round over ``tree_count`` disjoint trees.
+
+    ``sums`` and the verdict's tree indices follow the palette order of
+    ``trees.colors``.  A participant cuts, then chooses, colour by
+    colour.
+    """
     if slices < 1:
         raise ProtocolError("slices must be >= 1")
     if base_station in readings:
@@ -326,50 +191,37 @@ def run_multitree_round(
         trees = build_multi_trees(
             topology, tree_count, generator, base_station=base_station
         )
-    if trees.tree_count != tree_count:
+    colors = trees.colors
+    if len(colors) != tree_count:
         raise ProtocolError("trees were built with a different tree count")
-    window = magnitude
-    if window is None:
-        largest = max((abs(int(v)) for v in readings.values()), default=0)
-        window = max(4, 2 * largest)
+    window = IpdaConfig(slice_magnitude=magnitude).effective_magnitude(
+        readings.values()
+    )
 
-    assemblers: Dict[int, Dict[int, SliceAssembler]] = {
-        base_station: {
-            color: SliceAssembler(base_station) for color in range(tree_count)
-        }
+    assemblers: Dict[int, Dict[TreeColor, SliceAssembler]] = {
+        base_station: {color: SliceAssembler(base_station) for color in colors}
     }
-    for color in range(tree_count):
+    for color in colors:
         for aggregator in trees.aggregators(color):
             assemblers[aggregator] = {color: SliceAssembler(aggregator)}
 
     participants: Set[int] = set()
     transmissions = 0
     for node_id in sorted(readings):
-        role = trees.role_of(node_id)
-        candidate_lists: List[List[int]] = []
-        feasible = True
-        for color in range(tree_count):
-            options = set(trees.heard_aggregators(node_id, color))
-            options.discard(node_id)
-            needed = slices - 1 if role.color == color else slices
-            if len(options) < needed:
-                feasible = False
-                break
-            candidate_lists.append(sorted(options))
-        if not feasible:
+        if not trees.can_participate(node_id, slices):
             continue
         participants.add(node_id)
-        for color in range(tree_count):
+        own_color = trees.role_of(node_id).color
+        for color in colors:
+            options = sorted(trees.heard_aggregators(node_id, color) - {node_id})
             cut = slice_value(
                 int(readings[node_id]), slices, generator, magnitude=window
             )
-            includes_self = role.color == color
-            if includes_self:
+            if own_color is color:
                 assemblers[node_id][color].keep(cut[0])
                 remote_pieces = cut[1:]
             else:
                 remote_pieces = cut
-            options = candidate_lists[color]
             picked = generator.choice(
                 len(options), size=len(remote_pieces), replace=False
             )
@@ -379,12 +231,12 @@ def run_multitree_round(
 
     pollution = dict(polluters) if polluters else {}
     sums: List[int] = []
-    for color in range(tree_count):
+    for color in colors:
         total = assemblers[base_station][color].assembled_value()
         for aggregator in trees.aggregators(color):
             total += assemblers[aggregator][color].assembled_value()
         for polluter, offset in pollution.items():
-            if trees.role_of(polluter).color == color:
+            if trees.role_of(polluter).color is color:
                 total += int(offset)
         sums.append(total)
 

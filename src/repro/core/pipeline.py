@@ -194,26 +194,24 @@ def run_lossless_round(
         if node_id in dead:
             continue  # fail-stopped before it could slice
         heard = trees.heard.get(node_id, {})
-        candidates = [
-            sorted(
-                [
-                    a
-                    for a in heard.get(color, ())
-                    if a != node_id
-                    and (
-                        key_scheme is None
-                        or key_scheme.can_communicate(node_id, a)
-                    )
-                ]
-            )
+        candidates = {
+            color: [
+                a
+                for a in heard.get(color, ())
+                if a != node_id
+                and (
+                    key_scheme is None
+                    or key_scheme.can_communicate(node_id, a)
+                )
+            ]
             for color in (TreeColor.RED, TreeColor.BLUE)
-        ]
+        }
         requests.append(
             (
                 node_id,
                 int(readings[node_id]),
                 trees.role_of(node_id).color,
-                *candidates,
+                candidates,
             )
         )
     # One generator call draws the whole round's Phase II, in node order.

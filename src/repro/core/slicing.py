@@ -1,8 +1,9 @@
 """Data slicing and assembling (Phase II primitives).
 
 A sensor hides its reading ``d(i)`` by cutting it into ``l`` integer
-pieces that sum *exactly* to ``d(i)`` (Section III-C).  Two independent
-cuts are made — one scattered to red aggregators, one to blue — so each
+pieces that sum *exactly* to ``d(i)`` (Section III-C).  One independent
+cut is made per tree colour — one scattered to red aggregators, one to
+blue, and one more per extra colour of an m-tree palette — so each
 tree reconstructs the full total.  Because arithmetic is integer, no
 precision is lost, which is what lets iPDA report exact aggregates
 (the paper's "Accuracy" design goal).
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,61 +201,50 @@ def plan_slices(
     value: int,
     *,
     own_color: Optional[TreeColor],
-    red_candidates: Sequence[int],
-    blue_candidates: Sequence[int],
+    candidates: Mapping[TreeColor, Collection[int]],
     pieces: int,
     rng: np.random.Generator,
     magnitude: int = 1_000_000,
 ) -> Dict[TreeColor, SlicePlan]:
-    """Build both colour plans for one node, or raise if impossible.
+    """Build one plan per palette colour for one node, or raise.
 
-    Implements the selection rule of Section III-C.1: choose ``l`` red
-    and ``l`` blue aggregators from the neighbourhood *including itself*
-    — an aggregator always selects itself and ``l - 1`` peers of its own
-    colour, keeping one piece local.  Candidate lists must not contain
-    ``node_id`` itself (self-selection is handled here).
+    ``candidates`` maps each palette colour, in palette order, to the
+    aggregators of that colour the node may send to.  Implements the
+    selection rule of Section III-C.1: choose ``l`` aggregators of each
+    colour from the neighbourhood *including itself* — an aggregator
+    always selects itself and ``l - 1`` peers of its own colour, keeping
+    one piece local.  Candidate lists must not contain ``node_id``
+    itself (self-selection is handled here).
 
     Raises :class:`ProtocolError` when a colour has fewer than ``l``
     candidates — the node must then sit out (data-loss factor (b) of
     Section IV-B.3).
 
     Every draw comes from one ``rng.integers(lows, highs)`` call, in
-    this order: per colour, red then blue, the aggregator subset (as
+    this order: per colour, in palette order, the aggregator subset (as
     ``rng.choice(len(candidates), needed, replace=False)`` would draw
-    it) and then the cut (as :func:`slice_value` would).  A node short
-    of red candidates draws nothing; one short of blue still takes its
-    red draws.  ``integers`` is the only method called on ``rng``.
+    it) and then the cut (as :func:`slice_value` would).  The draws stop
+    at the first colour short of candidates: a node short of red draws
+    nothing.  ``integers`` is the only method called on ``rng``.
     """
-    if node_id in red_candidates or node_id in blue_candidates:
-        color = TreeColor.RED if node_id in red_candidates else TreeColor.BLUE
-        raise ProtocolError(
-            f"candidate list for {color.value} must exclude node {node_id}"
-        )
-    lows, highs, short = _draw_bounds(
-        own_color, len(red_candidates), len(blue_candidates), pieces, magnitude
-    )
+    lows, highs, short = _bounds(node_id, own_color, candidates, pieces, magnitude)
     drawn = rng.integers(lows, highs).tolist() if lows else []
     if short is not None:
-        count = len(
-            red_candidates if short is TreeColor.RED else blue_candidates
-        )
         raise ProtocolError(
-            f"node {node_id} has only {count} {short.value} "
+            f"node {node_id} has only {len(candidates[short])} {short.value} "
             f"aggregator(s) in range but needs "
             f"{pieces - 1 if own_color is short else pieces}"
         )
     plans: Dict[TreeColor, SlicePlan] = {}
     at = 0
-    for color, candidates in (
-        (TreeColor.RED, sorted(red_candidates)),
-        (TreeColor.BLUE, sorted(blue_candidates)),
-    ):
+    for color, options in candidates.items():
+        ordered = sorted(options)
         includes_self = own_color is color
         picks, at = _replay_choice(
-            len(candidates), pieces - 1 if includes_self else pieces, drawn, at
+            len(ordered), pieces - 1 if includes_self else pieces, drawn, at
         )
         cut, at = _replay_cut(value, pieces, magnitude, drawn, at)
-        chosen = [candidates[pick] for pick in picks]
+        chosen = [ordered[pick] for pick in picks]
         if includes_self:
             kept: Optional[int] = cut[0]
             outgoing = list(zip(chosen, cut[1:]))
@@ -265,26 +255,42 @@ def plan_slices(
     return plans
 
 
+def _bounds(
+    node_id: int,
+    own_color: Optional[TreeColor],
+    candidates: Mapping[TreeColor, Collection[int]],
+    pieces: int,
+    magnitude: int,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Optional[TreeColor]]:
+    """:func:`_draw_bounds` of one node; raises if a list holds the node."""
+    counts: Tuple[int, ...] = ()
+    for color, options in candidates.items():
+        if node_id in options:
+            raise ProtocolError(
+                f"candidate list for {color.value} must exclude node {node_id}"
+            )
+        counts += (len(options),)
+    return _draw_bounds(own_color, tuple(candidates), counts, pieces, magnitude)
+
+
 @functools.lru_cache(maxsize=_BOUNDS_CACHE_SIZE)
 def _draw_bounds(
     own_color: Optional[TreeColor],
-    red_count: int,
-    blue_count: int,
+    colors: Tuple[TreeColor, ...],
+    counts: Tuple[int, ...],
     pieces: int,
     magnitude: int,
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Optional[TreeColor]]:
     """``(lows, highs, short)``: the draws :func:`plan_slices` makes.
 
-    ``short`` is the first colour with too few candidates, or None; the
-    draws stop before it.
+    ``counts`` holds each palette colour's candidate count.  ``short``
+    is the first colour with too few candidates, or None; the draws
+    stop before it.
     """
     lows: Tuple[int, ...] = ()
     highs: Tuple[int, ...] = ()
     cut_lows, cut_highs = _cut_bounds(pieces, magnitude)
-    for color, count in (
-        (TreeColor.RED, red_count),
-        (TreeColor.BLUE, blue_count),
-    ):
+    for color, count in zip(colors, counts):
         needed = pieces - 1 if own_color is color else pieces
         if count < needed:
             return lows, highs, color
@@ -315,8 +321,10 @@ class _Drawn:
         return self._values[start:stop]
 
 
+#: ``(node_id, value, own_color, candidates)``, as :func:`plan_slices`
+#: takes them.
 SliceRequest = Tuple[
-    int, int, Optional[TreeColor], Sequence[int], Sequence[int]
+    int, int, Optional[TreeColor], Mapping[TreeColor, Collection[int]]
 ]
 
 
@@ -329,35 +337,35 @@ def plan_round(
 ) -> List[Optional[Dict[TreeColor, SlicePlan]]]:
     """Plan a whole round's slices from one ``rng.integers`` call.
 
-    ``requests`` holds one ``(node_id, value, own_color, red_candidates,
-    blue_candidates)`` per node.  The plans, and the state ``rng`` is
-    left in, are those of calling :func:`plan_slices` on ``rng`` for
-    each request in order.  Returns each node's plans, or None where it
-    sits out.
+    ``requests`` holds one ``(node_id, value, own_color, candidates)``
+    per node, ``candidates`` mapping each palette colour to its list.
+    The plans, and the state ``rng`` is left in, are those of calling
+    :func:`plan_slices` on ``rng`` for each request in order.  Returns
+    each node's plans, or None where it sits out.
     """
     lows: List[int] = []
     highs: List[int] = []
-    for node_id, _value, own_color, red, blue in requests:
-        if node_id in red or node_id in blue:
+    for node_id, _value, own_color, candidates in requests:
+        try:
+            node_lows, node_highs, _short = _bounds(
+                node_id, own_color, candidates, pieces, magnitude
+            )
+        except ProtocolError:
             continue  # plan_slices rejects it before drawing
-        node_lows, node_highs, _short = _draw_bounds(
-            own_color, len(red), len(blue), pieces, magnitude
-        )
         lows += node_lows
         highs += node_highs
     drawn = _Drawn(
         rng.integers(lows, highs) if lows else np.empty(0, dtype=np.int64)
     )
     plans: List[Optional[Dict[TreeColor, SlicePlan]]] = []
-    for node_id, value, own_color, red, blue in requests:
+    for node_id, value, own_color, candidates in requests:
         try:
             plans.append(
                 plan_slices(
                     node_id,
                     value,
                     own_color=own_color,
-                    red_candidates=red,
-                    blue_candidates=blue,
+                    candidates=candidates,
                     pieces=pieces,
                     rng=drawn,
                     magnitude=magnitude,
@@ -370,7 +378,7 @@ def plan_round(
 
 @dataclass(frozen=True)
 class PlannedSlice:
-    """One scheduled slice transmission of a node's two-colour fan-out.
+    """One scheduled slice transmission of a node's fan-out.
 
     ``seq`` is the wire sequence number the send will carry — assigned
     here, ahead of time, so the whole fan-out can be sealed in one
@@ -474,8 +482,3 @@ class SliceAssembler:
     def assembled_value(self) -> int:
         """``r(j)``: the sum of the kept piece and all received slices."""
         return self._kept + sum(piece for _sender, piece in self._received)
-
-
-def exact_sum(values: Iterable[int]) -> int:
-    """Reference aggregate: the exact sum of the given readings."""
-    return sum(int(v) for v in values)

@@ -718,7 +718,7 @@ def tree_count_run_cell(
         topology, readings, tree_count, rng=rng, trees=trees
     )
     participation = len(clean.participants) / sensors
-    tree0 = sorted(trees.aggregators(0))
+    tree0 = sorted(trees.aggregators(trees.colors[0]))
     if not tree0:
         return participation, None, None
     attacked = run_multitree_round(

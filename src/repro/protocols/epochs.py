@@ -100,6 +100,7 @@ class EpochedIpdaSession:
             node.config = self.config
             node.keys = self._keys
             node.base_station = base_station
+            node.start_round()  # Phase I's: no reading and no report
             return node
 
         self.network = Network(

@@ -1,19 +1,23 @@
 """iPDA over the full radio stack (Sections III-B/C/D end to end).
 
-Phase I — the base station floods HELLOs as an aggregator of both
-colours; a node that has heard both colours waits
+Phase I — the base station floods HELLOs as an aggregator of every
+colour; a node that has heard every colour waits
 ``role_decision_delay`` collecting more HELLOs, elects its role
 (Equations 1–2), picks the shallowest same-colour aggregator as parent
 and, if it became an aggregator, re-broadcasts the HELLO.
 
-Phase II — every participating node cuts its reading twice (one cut per
-colour), link-encrypts each piece under the key-management scheme, and
-scatters the pieces to ``l`` aggregators of each colour over the
-slicing window; aggregators decrypt and assemble ``r(j)``.
+Phase II — every participating node cuts its reading once per colour,
+link-encrypts each piece under the key-management scheme, and scatters
+the pieces to ``l`` aggregators of each colour over the slicing window;
+aggregators decrypt and assemble ``r(j)``.
 
 Phase III — each tree runs a depth-scheduled convergecast of the
 assembled values; the base station compares ``S_red`` and ``S_blue``
 and accepts iff they agree within ``Th``.
+
+The colours are a palette: red and blue here, m colours for Section
+III-B's m > 2 trees, which :mod:`repro.protocols.mipda` runs on these
+same nodes.
 
 Attack hooks: ``polluters`` adds an offset to a node's outgoing
 intermediate result (data-pollution, Section II-C); ``contributors``
@@ -40,14 +44,16 @@ gracefully under benign loss instead of rejecting (see
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Mapping, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Optional, Set, Tuple
 
 from ..core.config import IpdaConfig, RobustnessConfig
 from ..core.integrity import VerificationResult, verify_round
 from ..core.slicing import SliceAssembler, plan_slices, schedule_fanout
-from ..core.trees import role_probabilities
+from ..core.trees import elect_color
 from ..crypto.envelope import make_nonce, open_sealed, seal_batch
 from ..crypto.keys import KeyManagementScheme, PairwiseKeyScheme
 from ..errors import ProtocolError
@@ -74,7 +80,9 @@ __all__ = ["IpdaOutcome", "IpdaProtocol"]
 #: Convergecast depth bound (slots), mirroring TAG's epoch division.
 MAX_DEPTH_SLOTS = 32
 
-_BOTH = (TreeColor.RED, TreeColor.BLUE)
+#: the paper's two trees
+_BOTH = TreeColor.palette(2)
+_NOTHING: Mapping[int, int] = MappingProxyType({})
 
 
 @dataclass
@@ -88,11 +96,6 @@ class _PendingSend:
     piece: int = 0  # slice transfers only: the plaintext piece
 
 
-def _per_color(factory):
-    """A dataclass field holding one ``factory()`` per tree colour."""
-    return field(default_factory=lambda: {c: factory() for c in _BOTH})
-
-
 @dataclass(slots=True)
 class _RoundState:
     """Everything an iPDA node holds for one round; replaced each round.
@@ -100,30 +103,30 @@ class _RoundState:
     The runner's inputs sit next to what the round accumulates, so a
     new round is one assignment and nothing can leak into the next.
     Phase I tree state and lifetime fields (keys, ``_slice_seq``) stay
-    on the node.
+    on the node.  Per-colour fields hold one entry per palette colour.
     """
 
-    round_id: int = 0
-    reading: int = 0
-    contributes: bool = False
-    magnitude: int = 4
-    pollution_offset: int = 0
+    round_id: int
+    reading: int
+    contributes: bool
+    magnitude: int
+    pollution_offset: int
     #: when Phase III starts; None schedules no report (the standing
     #: trees' construction, whose epochs schedule their own).
-    phase3_start: Optional[float] = None
-    assemblers: Dict[TreeColor, SliceAssembler] = field(default_factory=dict)
-    participant: bool = False
-    child_sum: Dict[TreeColor, int] = _per_color(int)
+    phase3_start: Optional[float]
+    assemblers: Dict[TreeColor, SliceAssembler]
+    child_sum: Dict[TreeColor, int]
     #: cumulative slice-piece counts received from children's reports.
-    child_pieces: Dict[TreeColor, int] = _per_color(int)
+    child_pieces: Dict[TreeColor, int]
+    #: origin aggregators already folded into ``child_sum`` — the
+    #: duplicate filter for fail-over paths.
+    merged_origins: Dict[TreeColor, Set[int]]
+    participant: bool = False
     # --- loss-tolerant mode (inert when robustness is None) ---
     pending_slices: Dict[int, _PendingSend] = field(default_factory=dict)
     pending_reports: Dict[int, _PendingSend] = field(default_factory=dict)
     seen_slices: Set[Tuple[int, int]] = field(default_factory=set)
     seen_aggregates: Set[int] = field(default_factory=set)
-    #: origin aggregators already folded into ``child_sum`` — the
-    #: duplicate filter for fail-over paths.
-    merged_origins: Dict[TreeColor, Set[int]] = _per_color(set)
     reported: bool = False
     retries_used: int = 0
     reparent_count: int = 0
@@ -135,9 +138,9 @@ class _RoundState:
 class _Tally:
     """What the base station counts over a finished round's nodes."""
 
+    aggregators: Dict[TreeColor, int]
     participants: Set[int] = field(default_factory=set)
     covered: Set[int] = field(default_factory=set)
-    aggregators: Dict[TreeColor, int] = _per_color(int)
     blacklisting: int = 0
     retries_used: int = 0
     reparent_count: int = 0
@@ -171,21 +174,23 @@ class IpdaOutcome(RoundOutcome):
 
 
 class _IpdaNode(Node):
-    """A sensor running iPDA."""
+    """A sensor running iPDA; whoever builds it starts its first round."""
 
-    def __init__(self, node_id: int, network: Network):
+    round: _RoundState
+
+    def __init__(self, node_id: int, network: Network, colors=_BOTH):
         super().__init__(node_id, network)
         self.config: IpdaConfig = IpdaConfig()
         self.keys: Optional[KeyManagementScheme] = None
         self.base_station = 0
+        self.colors = colors  # the deployment's palette
 
         self.heard: Dict[TreeColor, Dict[int, int]] = {
-            TreeColor.RED: {},
-            TreeColor.BLUE: {},
+            color: {} for color in colors
         }
-        #: neighbours caught announcing both colours (Section III-B: the
+        #: neighbours caught announcing two colours (Section III-B: the
         #: shared medium makes the duplicity visible; such nodes are
-        #: excluded from both trees).
+        #: excluded from every tree).
         self.blacklist: Set[int] = set()
         #: the first colour each neighbour announced.
         self._hello_colors: Dict[int, TreeColor] = {}
@@ -198,7 +203,6 @@ class _IpdaNode(Node):
         #: lifetime slice counter, so nonces and slice dedup keys never
         #: repeat across rounds.
         self._slice_seq = 0
-        self.round = _RoundState(assemblers=self._new_assemblers())
 
     def _new_assemblers(self) -> Dict[TreeColor, SliceAssembler]:
         """Fresh assemblers for the colours this node aggregates."""
@@ -208,20 +212,22 @@ class _IpdaNode(Node):
 
     def start_round(
         self,
-        readings: Mapping[int, int],
-        contributors: Optional[Set[int]],
-        polluters: Mapping[int, int],
+        readings: Mapping[int, int] = _NOTHING,
+        contributors: Optional[Set[int]] = None,
+        polluters: Mapping[int, int] = _NOTHING,
         *,
-        round_id: int,
-        magnitude: int,
-        phase3_start: Optional[float],
+        round_id: int = 0,
+        magnitude: int = 4,
+        phase3_start: Optional[float] = None,
     ) -> None:
         """Begin a round: every per-round field is replaced at once.
 
         The node contributes when it has a reading and ``contributors``
-        (None: everyone) includes it.
+        (None: everyone) includes it.  The defaults start the round of
+        a standing deployment's Phase I: no reading and no report.
         """
         node_id = self.id
+        colors = self.colors
         self.round = _RoundState(
             round_id=round_id,
             reading=int(readings.get(node_id, 0)),
@@ -231,6 +237,9 @@ class _IpdaNode(Node):
             pollution_offset=int(polluters.get(node_id, 0)),
             phase3_start=phase3_start,
             assemblers=self._new_assemblers(),
+            child_sum=dict.fromkeys(colors, 0),
+            child_pieces=dict.fromkeys(colors, 0),
+            merged_origins={color: set() for color in colors},
         )
 
     @property
@@ -291,9 +300,9 @@ class _IpdaNode(Node):
         if message.src in self.blacklist:
             return
         # Two-faced detection (Section III-B): the same neighbour
-        # announcing both colours is an adversary trying to sit on both
+        # announcing two colours is an adversary trying to sit on two
         # trees; the shared medium makes the duplicity visible.  The
-        # base station legitimately roots both trees.
+        # base station legitimately roots every tree.
         if message.src != self.base_station:
             first = self._hello_colors.setdefault(message.src, message.color)
             if first is not message.color:
@@ -308,7 +317,7 @@ class _IpdaNode(Node):
             table[message.src] = message.hops
         if self.decided or self._decision_pending:
             return
-        if self.heard[TreeColor.RED] and self.heard[TreeColor.BLUE]:
+        if self.is_covered:
             self._decision_pending = True
             self.schedule(self.config.timing.role_decision_delay, self._decide)
 
@@ -327,43 +336,40 @@ class _IpdaNode(Node):
             return
         if not self.is_covered:
             # A blacklisting emptied a colour's table after the timer
-            # was armed: wait for a HELLO that restores both colours.
+            # was armed: wait for a HELLO that restores every colour.
             self._decision_pending = False
             return
         self.decided = True
         self._elect()
 
     def _elect(self) -> None:
-        """Draw this node's role (Equations 1–2) and join its tree."""
-        n_red = len(self.heard[TreeColor.RED])
-        n_blue = len(self.heard[TreeColor.BLUE])
-        p_red, p_blue = role_probabilities(
-            n_red,
-            n_blue,
+        """Draw this node's role (:func:`elect_color`) and join its tree."""
+        color = elect_color(
+            self.heard,
             mode=self.config.role_mode,
             budget=self.config.aggregator_budget,
+            rng=self.rng,
         )
-        draw = float(self.rng.random())
-        if draw < p_red:
-            self.color = TreeColor.RED
-        elif draw < p_red + p_blue:
-            self.color = TreeColor.BLUE
-        else:
-            self.color = None
-            return
-        own_heard = self.heard[self.color]
+        if color is not None:
+            self._join(color, (color,))
+
+    def _join(self, color: TreeColor, announce: Tuple[TreeColor, ...]) -> None:
+        """Aggregate on ``color``'s tree; send a HELLO per ``announce``."""
+        self.color = color
+        own_heard = self.heard[color]
         self.parent = min(own_heard, key=lambda a: (own_heard[a], a))
         self.hops = own_heard[self.parent] + 1
         self.round.assemblers = self._new_assemblers()
-        self.send(
-            HelloMessage(
-                src=self.id,
-                dst=BROADCAST,
-                color=self.color,
-                hops=self.hops,
-                round_id=self.round.round_id,
+        for hello_color in announce:
+            self.send(
+                HelloMessage(
+                    src=self.id,
+                    dst=BROADCAST,
+                    color=hello_color,
+                    hops=self.hops,
+                    round_id=self.round.round_id,
+                )
             )
-        )
         self._schedule_report()
 
     # ------------------------------------------------------------------
@@ -378,14 +384,15 @@ class _IpdaNode(Node):
         state = self.round
         if not state.contributes:
             return
-        candidates = {color: self._slice_candidates(color) for color in _BOTH}
         try:
             plans = plan_slices(
                 self.id,
                 state.reading,
                 own_color=self.color,
-                red_candidates=sorted(candidates[TreeColor.RED]),
-                blue_candidates=sorted(candidates[TreeColor.BLUE]),
+                candidates={
+                    color: self._slice_candidates(color)
+                    for color in self.colors
+                },
                 pieces=self.config.slices,
                 rng=self.rng,
                 magnitude=state.magnitude,
@@ -398,7 +405,7 @@ class _IpdaNode(Node):
             if plan.kept is not None:
                 state.assemblers[color].keep(plan.kept)
         # Pre-assign sequence numbers in predicted fire order and seal
-        # the whole two-colour fan-out in one batched cipher pass —
+        # the whole fan-out in one batched cipher pass —
         # byte-identical to sealing lazily per send (the messages
         # themselves are still built at fire time, keeping frame-id
         # allocation order untouched).
@@ -706,56 +713,37 @@ class _IpdaNode(Node):
     # ------------------------------------------------------------------
     @property
     def is_covered(self) -> bool:
-        """Heard at least one aggregator of each colour."""
-        return bool(self.heard[TreeColor.RED] and self.heard[TreeColor.BLUE])
+        """Heard at least one aggregator of every colour."""
+        return all(self.heard.values())
 
 
 class _TwoFacedNode(_IpdaNode):
-    """The Section III-B adversary: announces itself on *both* trees.
+    """The Section III-B adversary: announces itself on *every* tree.
 
     It elects red internally (so it aggregates somewhere) but also
-    broadcasts a blue HELLO, hoping to become a parent on both trees
-    and defeat the disjointness redundancy.  Honest neighbours hear the
-    contradictory HELLOs and blacklist it.
+    broadcasts a HELLO of every other colour, hoping to become a parent
+    on all trees and defeat the disjointness redundancy.  Honest
+    neighbours hear the contradictory HELLOs and blacklist it.
     """
 
     def _elect(self) -> None:
-        heard_red = self.heard[TreeColor.RED]
-        self.color = TreeColor.RED
-        self.parent = min(heard_red, key=lambda a: (heard_red[a], a))
-        self.hops = heard_red[self.parent] + 1
-        self.round.assemblers = self._new_assemblers()
-        for color in _BOTH:
-            self.send(
-                HelloMessage(
-                    src=self.id,
-                    dst=BROADCAST,
-                    color=color,
-                    hops=self.hops,
-                    round_id=self.round.round_id,
-                )
-            )
-        self._schedule_report()
+        self._join(TreeColor.RED, self.colors)
 
     def _new_assemblers(self) -> Dict[TreeColor, SliceAssembler]:
-        """Once it has a tree, it assembles slices of both colours."""
+        """Once it has a tree, it assembles slices of every colour."""
         if self.color is None:
             return {}
-        return {color: SliceAssembler(self.id) for color in _BOTH}
+        return {color: SliceAssembler(self.id) for color in self.colors}
 
 
 class _IpdaBaseStation(_IpdaNode):
-    """Root of both trees: floods the twin HELLOs, verifies the results."""
-
-    def __init__(self, node_id: int, network: Network):
-        super().__init__(node_id, network)
-        self.decided = True
+    """Root of every tree: floods one HELLO per colour, sums the results."""
 
     def _new_assemblers(self) -> Dict[TreeColor, SliceAssembler]:
-        return {color: SliceAssembler(self.id) for color in _BOTH}
+        return {color: SliceAssembler(self.id) for color in self.colors}
 
     def start(self) -> None:
-        for color in _BOTH:
+        for color in self.colors:
             self.send(
                 HelloMessage(
                     src=self.id,
@@ -791,7 +779,7 @@ class _IpdaBaseStation(_IpdaNode):
         The base station never slices or hears a HELLO, so it never
         counts as a participant or as covered.
         """
-        tally = _Tally()
+        tally = _Tally(aggregators=dict.fromkeys(self.colors, 0))
         for node in self.network.iter_nodes():
             state = node.round
             if state.participant:
@@ -807,7 +795,7 @@ class _IpdaBaseStation(_IpdaNode):
         return tally
 
     def verdict(self, magnitude: int, participants: int) -> VerificationResult:
-        """Judge the round's two tree sums (:func:`verify_round`)."""
+        """Judge the red and blue tree sums (:func:`verify_round`)."""
         return verify_round(
             self.config,
             magnitude,
@@ -866,67 +854,18 @@ class IpdaProtocol(AggregationProtocol):
         injected by the network's fault injector.  ``two_faced`` marks
         nodes running the both-colours HELLO attack of Section III-B.
         """
-        validate_readings(topology, readings, self.base_station)
-        keys = self.key_scheme_factory(topology.node_count)
-        magnitude = self.config.effective_magnitude(readings.values())
-        pollution = dict(polluters) if polluters else {}
-
-        adversaries = set(two_faced) if two_faced else set()
-        if self.base_station in adversaries:
-            raise ProtocolError("the base station cannot be the adversary")
-
-        timing = self.config.timing
-        t_slice = timing.tree_construction_window
-        phase3_start = t_slice + timing.slicing_window + timing.assembly_guard
-
-        def factory(node_id: int, network: Network) -> Node:
-            if node_id == self.base_station:
-                cls = _IpdaBaseStation
-            elif node_id in adversaries:
-                cls = _TwoFacedNode
-            else:
-                cls = _IpdaNode
-            node = cls(node_id, network)
-            node.config = self.config
-            node.keys = keys
-            node.base_station = self.base_station
-            node.start_round(
-                readings,
-                contributors,
-                pollution,
-                round_id=round_id,
-                magnitude=magnitude,
-                phase3_start=phase3_start,
-            )
-            return node
-
-        with Network(
+        with self._play_round(
             topology,
-            factory,
-            streams=streams.spawn("ipda", round_id),
-            radio_config=self.radio_config,
-            mac_config=self.mac_config,
-            keep_frames=self.keep_frames,
+            readings,
+            streams.spawn("ipda", round_id),
+            colors=_BOTH,
+            round_id=round_id,
+            contributors=contributors,
+            polluters=polluters,
+            failures=failures,
+            two_faced=two_faced,
             fault_plan=fault_plan,
-        ) as network:
-            root = network.node(self.base_station)
-            assert isinstance(root, _IpdaBaseStation)
-
-            root.start()
-            for node in network.iter_nodes():
-                if node.id != self.base_station:
-                    node.schedule_slicing(t_slice)
-            if failures:
-                for node_id, when in failures.items():
-                    network.engine.schedule_at(
-                        float(when), partial(network.kill_node, node_id)
-                    )
-            network.run(
-                until=phase3_start
-                + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
-            )
-            network.run()  # drain MAC backoff and protocol-retry tails
-
+        ) as (network, root, magnitude):
             tally = root.tally()
             participants = tally.participants
             verification = root.verdict(magnitude, len(participants))
@@ -965,3 +904,84 @@ class IpdaProtocol(AggregationProtocol):
                     ),
                 },
             )
+
+    @contextmanager
+    def _play_round(
+        self,
+        topology: Topology,
+        readings: Mapping[int, int],
+        streams: RngStreams,
+        *,
+        colors: Tuple[TreeColor, ...],
+        round_id: int,
+        contributors: Optional[Set[int]],
+        polluters: Optional[Mapping[int, int]],
+        failures: Optional[Mapping[int, float]] = None,
+        two_faced: Optional[Set[int]] = None,
+        fault_plan=None,
+    ) -> Iterator[Tuple[Network, _IpdaBaseStation, int]]:
+        """Play one round over ``colors``; yield ``(network, root, magnitude)``.
+
+        The network is drained but still open inside the ``with`` block.
+        """
+        validate_readings(topology, readings, self.base_station)
+        keys = self.key_scheme_factory(topology.node_count)
+        magnitude = self.config.effective_magnitude(readings.values())
+        pollution = dict(polluters) if polluters else {}
+
+        adversaries = set(two_faced) if two_faced else set()
+        if self.base_station in adversaries:
+            raise ProtocolError("the base station cannot be the adversary")
+
+        timing = self.config.timing
+        t_slice = timing.tree_construction_window
+        phase3_start = t_slice + timing.slicing_window + timing.assembly_guard
+
+        def factory(node_id: int, network: Network) -> Node:
+            if node_id == self.base_station:
+                cls = _IpdaBaseStation
+            elif node_id in adversaries:
+                cls = _TwoFacedNode
+            else:
+                cls = _IpdaNode
+            node = cls(node_id, network, colors)
+            node.config = self.config
+            node.keys = keys
+            node.base_station = self.base_station
+            node.start_round(
+                readings,
+                contributors,
+                pollution,
+                round_id=round_id,
+                magnitude=magnitude,
+                phase3_start=phase3_start,
+            )
+            return node
+
+        with Network(
+            topology,
+            factory,
+            streams=streams,
+            radio_config=self.radio_config,
+            mac_config=self.mac_config,
+            keep_frames=self.keep_frames,
+            fault_plan=fault_plan,
+        ) as network:
+            root = network.node(self.base_station)
+            assert isinstance(root, _IpdaBaseStation)
+
+            root.start()
+            for node in network.iter_nodes():
+                if node.id != self.base_station:
+                    node.schedule_slicing(t_slice)
+            if failures:
+                for node_id, when in failures.items():
+                    network.engine.schedule_at(
+                        float(when), partial(network.kill_node, node_id)
+                    )
+            network.run(
+                until=phase3_start
+                + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
+            )
+            network.run()  # drain MAC backoff and protocol-retry tails
+            yield network, root, magnitude

@@ -128,8 +128,13 @@ class TestBlacklistEmptiesATable:
         def hello(src, color):
             return HelloMessage(src=src, dst=BROADCAST, color=color, hops=1)
 
+        def factory(node_id, network):
+            node = _IpdaNode(node_id, network)
+            node.start_round()
+            return node
+
         topology = random_deployment(6, area=20.0, seed=1)
-        with Network(topology, _IpdaNode, streams=RngStreams(1)) as network:
+        with Network(topology, factory, streams=RngStreams(1)) as network:
             node = network.node(5)
             node.on_receive(hello(0, TreeColor.BLUE))
             node.on_receive(hello(2, TreeColor.RED))  # arms the timer

@@ -14,6 +14,7 @@ from repro.core.multitree import (
 )
 from repro.errors import AnalysisError, IntegrityError, ProtocolError
 from repro.net.topology import random_deployment
+from repro.sim.messages import TreeColor
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +34,13 @@ class TestConstruction:
     def test_every_tree_populated_when_dense(self, dense):
         topology, _ = dense
         trees = build_multi_trees(topology, 3, np.random.default_rng(1))
-        for color in range(3):
+        for color in TreeColor.palette(3):
             assert trees.aggregators(color)
 
     def test_parents_on_same_tree(self, dense):
         topology, _ = dense
         trees = build_multi_trees(topology, 3, np.random.default_rng(2))
-        for color in range(3):
+        for color in TreeColor.palette(3):
             members = trees.aggregators(color) | {trees.base_station}
             for node in trees.aggregators(color):
                 assert trees.roles[node].parent in members
@@ -61,7 +62,7 @@ class TestConstruction:
             build_multi_trees(topology, 1, np.random.default_rng(0))
         trees = build_multi_trees(topology, 3, np.random.default_rng(0))
         with pytest.raises(ProtocolError):
-            trees.aggregators(3)
+            trees.aggregators(TreeColor.YELLOW)
 
 
 class TestVerification:
@@ -121,7 +122,7 @@ class TestRounds:
         topology, readings = dense
         rng = np.random.default_rng(7)
         trees = build_multi_trees(topology, 3, rng)
-        polluter = sorted(trees.aggregators(0))[0]
+        polluter = sorted(trees.aggregators(TreeColor.RED))[0]
         result = run_multitree_round(
             topology,
             readings,
@@ -138,8 +139,8 @@ class TestRounds:
         topology, readings = dense
         rng = np.random.default_rng(8)
         trees = build_multi_trees(topology, 3, rng)
-        p0 = sorted(trees.aggregators(0))[0]
-        p1 = sorted(trees.aggregators(1))[0]
+        p0 = sorted(trees.aggregators(TreeColor.RED))[0]
+        p1 = sorted(trees.aggregators(TreeColor.BLUE))[0]
         result = run_multitree_round(
             topology,
             readings,
@@ -155,7 +156,7 @@ class TestRounds:
         topology, readings = dense
         rng = np.random.default_rng(9)
         trees = build_multi_trees(topology, 2, rng)
-        polluter = sorted(trees.aggregators(0))[0]
+        polluter = sorted(trees.aggregators(TreeColor.RED))[0]
         result = run_multitree_round(
             topology,
             readings,

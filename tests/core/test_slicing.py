@@ -58,8 +58,7 @@ class TestPlanSlices:
             10,
             7,
             own_color=None,
-            red_candidates=[1, 2, 3],
-            blue_candidates=[4, 5, 6],
+            candidates={TreeColor.RED: [1, 2, 3], TreeColor.BLUE: [4, 5, 6]},
             pieces=2,
             rng=gen,
         )
@@ -73,8 +72,7 @@ class TestPlanSlices:
             10,
             7,
             own_color=TreeColor.RED,
-            red_candidates=[1, 2, 3],
-            blue_candidates=[4, 5, 6],
+            candidates={TreeColor.RED: [1, 2, 3], TreeColor.BLUE: [4, 5, 6]},
             pieces=2,
             rng=gen,
         )
@@ -91,8 +89,7 @@ class TestPlanSlices:
             10,
             -33,
             own_color=TreeColor.BLUE,
-            red_candidates=[1, 2, 3],
-            blue_candidates=[4, 5],
+            candidates={TreeColor.RED: [1, 2, 3], TreeColor.BLUE: [4, 5]},
             pieces=3,
             rng=gen,
         )
@@ -105,8 +102,7 @@ class TestPlanSlices:
             10,
             5,
             own_color=None,
-            red_candidates=[1, 2],
-            blue_candidates=[3, 4],
+            candidates={TreeColor.RED: [1, 2], TreeColor.BLUE: [3, 4]},
             pieces=2,
             rng=np.random.default_rng(1),
             magnitude=10**6,
@@ -121,8 +117,7 @@ class TestPlanSlices:
                 10,
                 1,
                 own_color=None,
-                red_candidates=[1],
-                blue_candidates=[2, 3],
+                candidates={TreeColor.RED: [1], TreeColor.BLUE: [2, 3]},
                 pieces=2,
                 rng=gen,
             )
@@ -133,8 +128,7 @@ class TestPlanSlices:
             10,
             1,
             own_color=TreeColor.RED,
-            red_candidates=[1],
-            blue_candidates=[2, 3],
+            candidates={TreeColor.RED: [1], TreeColor.BLUE: [2, 3]},
             pieces=2,
             rng=gen,
         )
@@ -146,8 +140,7 @@ class TestPlanSlices:
                 10,
                 1,
                 own_color=TreeColor.RED,
-                red_candidates=[10, 1],
-                blue_candidates=[2, 3],
+                candidates={TreeColor.RED: [10, 1], TreeColor.BLUE: [2, 3]},
                 pieces=2,
                 rng=gen,
             )
@@ -157,8 +150,10 @@ class TestPlanSlices:
             10,
             8,
             own_color=None,
-            red_candidates=[1, 2, 3, 4, 5],
-            blue_candidates=[6, 7, 8, 9],
+            candidates={
+                TreeColor.RED: [1, 2, 3, 4, 5],
+                TreeColor.BLUE: [6, 7, 8, 9],
+            },
             pieces=3,
             rng=gen,
         )

@@ -22,6 +22,7 @@ from repro.core.slicing import (
     plan_slices,
     slice_value,
 )
+from repro.errors import ProtocolError
 from repro.sim.messages import TreeColor
 from tests.slicing_oracle import legacy_plan_slices, legacy_slice_value
 
@@ -132,23 +133,37 @@ class TestCutReplay:
         assert lows == (0, 0, 0) and highs == (2**32,) * 3
 
 
+RED, BLUE, GREEN = TreeColor.palette(3)
+
+
+def _two(red, blue):
+    return {RED: red, BLUE: blue}
+
+
 class TestPlanOneCall:
     CASES = [
-        # own colour, red candidates, blue candidates, pieces, magnitude
-        (None, [1, 2, 3], [4, 5, 6], 2, 14),
-        (TreeColor.RED, [1, 2, 3], [4, 5, 6], 2, 14),
-        (TreeColor.BLUE, [9, 3, 7, 1], [2, 8], 3, 2**40),
-        (TreeColor.RED, [1], [4, 5, 6, 7], 1, 10**30),
-        (None, list(range(20, 40)), list(range(40, 55)), 4, 2**61),
-        (TreeColor.BLUE, [1, 2], [], 1, 5),  # l = 1: blue keeps its piece
-        (TreeColor.RED, [], [], 1, 5),  # short of blue, with no red draws
-        (None, [1], [4, 5], 2, 9),  # short of red: draws nothing
-        (TreeColor.RED, [1, 2], [4], 2, 9),  # short of blue: red draws
+        # own colour, candidates per palette colour, pieces, magnitude
+        (None, _two([1, 2, 3], [4, 5, 6]), 2, 14),
+        (RED, _two([1, 2, 3], [4, 5, 6]), 2, 14),
+        (BLUE, _two([9, 3, 7, 1], [2, 8]), 3, 2**40),
+        (RED, _two([1], [4, 5, 6, 7]), 1, 10**30),
+        (None, _two(list(range(20, 40)), list(range(40, 55))), 4, 2**61),
+        (BLUE, _two([1, 2], []), 1, 5),  # l = 1: blue keeps its piece
+        (RED, _two([], []), 1, 5),  # short of blue, with no red draws
+        (None, _two([1], [4, 5]), 2, 9),  # short of red: draws nothing
+        (RED, _two([1, 2], [4]), 2, 9),  # short of blue: red draws
+        # Three colours, drawn in palette order: red, blue, green.
+        (GREEN, {RED: [1, 2, 3], BLUE: [4, 5], GREEN: [6, 7]}, 2, 14),
+        (None, {RED: [9, 3, 7], BLUE: [2, 8, 4], GREEN: [6, 5]}, 2, 2**70),
+        # Short of its second colour: only the first colour's draws.
+        (None, {RED: [1, 2], BLUE: [4], GREEN: [6, 7]}, 2, 9),
+        # Short of the third: red's and blue's draws, then out.
+        (BLUE, {RED: [1, 2, 3], BLUE: [4], GREEN: [6]}, 2, 9),
     ]
 
     @pytest.mark.parametrize("case", CASES)
     def test_plan_matches_choice_based_planner(self, case):
-        own_color, red, blue, pieces, magnitude = case
+        own_color, candidates, pieces, magnitude = case
         results = []
         for planner in (plan_slices, legacy_plan_slices):
             rng = np.random.default_rng(5)
@@ -157,8 +172,7 @@ class TestPlanOneCall:
                     10,
                     123,
                     own_color=own_color,
-                    red_candidates=red,
-                    blue_candidates=blue,
+                    candidates=candidates,
                     pieces=pieces,
                     rng=rng,
                     magnitude=magnitude,
@@ -167,6 +181,25 @@ class TestPlanOneCall:
                 plans = type(exc)
             results.append((plans, _state(rng)))
         assert results[0] == results[1]
+
+    def test_short_of_second_colour_takes_first_colours_draws(self):
+        candidates = {RED: [1, 2, 3], BLUE: [4], GREEN: [6, 7]}
+        rng = np.random.default_rng(5)
+        with pytest.raises(ProtocolError, match="blue"):
+            plan_slices(
+                10,
+                123,
+                own_color=None,
+                candidates=candidates,
+                pieces=2,
+                rng=rng,
+                magnitude=9,
+            )
+        # Red's choice of 2 of 3 and its one cut draw, nothing more.
+        expected = np.random.default_rng(5)
+        expected.choice(3, size=2, replace=False)
+        expected.integers(-9, 10)
+        assert _state(rng) == _state(expected)
 
     def test_one_generator_call_per_node(self):
         class Counting:
@@ -183,8 +216,7 @@ class TestPlanOneCall:
             10,
             1,
             own_color=TreeColor.RED,
-            red_candidates=[1, 2, 3],
-            blue_candidates=[4, 5, 6],
+            candidates={TreeColor.RED: [1, 2, 3], TreeColor.BLUE: [4, 5, 6]},
             pieces=3,
             rng=rng,
             magnitude=2**70,

@@ -53,8 +53,10 @@ class TestSlicingProperties:
             99,
             value,
             own_color=TreeColor.RED,
-            red_candidates=list(range(pieces)),
-            blue_candidates=list(range(10, 10 + pieces)),
+            candidates={
+                TreeColor.RED: list(range(pieces)),
+                TreeColor.BLUE: list(range(10, 10 + pieces)),
+            },
             pieces=pieces,
             rng=rng,
         )

@@ -1,9 +1,9 @@
 """Property test: the one-shot radio runners agree on a perfect channel.
 
 With collisions off and no loss, nothing a runner sends can be lost, so
-TAG, PDA, iPDA and m-tree iPDA (m = 3) must each report exactly the
-sum of the readings of the sensors that took part, over generated
-deployments, readings and seeds.  iPDA's two trees must also agree, and
+TAG, PDA, iPDA and m-tree iPDA (m = 3, also in its robust mode) must
+each report exactly the sum of the readings of the sensors that took
+part, over generated deployments, readings and seeds.  iPDA's two trees must also agree, and
 the base station must accept.  This is the radio level's share of the
 cross-level agreement between the lossless pipeline, the one-shot round
 and the standing session.
@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    IpdaConfig,
     IpdaProtocol,
     PdaProtocol,
     RngStreams,
     TagProtocol,
     random_deployment,
 )
+from repro.core.config import RobustnessConfig
 from repro.protocols import MipdaProtocol
 from repro.sim.radio import RadioConfig
 
@@ -31,6 +33,9 @@ RUNNERS = {
     "pda": PdaProtocol(radio_config=PERFECT),
     "ipda": IpdaProtocol(radio_config=PERFECT),
     "mipda-3": MipdaProtocol(tree_count=3, radio_config=PERFECT),
+    "mipda-3-robust": MipdaProtocol(
+        3, IpdaConfig(robustness=RobustnessConfig()), radio_config=PERFECT
+    ),
 }
 
 

@@ -23,7 +23,6 @@ from repro.privacy.evaluate import make_key_scheme
 from repro.sim.messages import TreeColor
 from tests.slicing_oracle import legacy_plan_round
 
-COLORS = st.sampled_from([TreeColor.RED, TreeColor.BLUE, None])
 MAGNITUDES = st.one_of(
     st.integers(1, 64),
     st.sampled_from([2**32, 2**61 - 1, 2**61]),
@@ -33,17 +32,24 @@ MAGNITUDES = st.one_of(
 
 @st.composite
 def requests(draw):
-    """A round's planning requests: 1-40 nodes, 0-15 candidates a colour."""
+    """A round's planning requests over a palette of 2-4 colours.
+
+    1-40 nodes, 0-15 candidates a colour.
+    """
+    palette = TreeColor.palette(draw(st.integers(2, 4)))
     node_ids = draw(
         st.lists(st.integers(0, 500), min_size=1, max_size=40, unique=True)
     )
     out = []
     for node_id in node_ids:
         others = st.integers(0, 500).filter(lambda a, me=node_id: a != me)
-        red = draw(st.lists(others, max_size=15, unique=True))
-        blue = draw(st.lists(others, max_size=15, unique=True))
+        candidates = {
+            color: draw(st.lists(others, max_size=15, unique=True))
+            for color in palette
+        }
         value = draw(st.integers(-(10**6), 10**6))
-        out.append((node_id, value, draw(COLORS), red, blue))
+        own_color = draw(st.sampled_from(palette + (None,)))
+        out.append((node_id, value, own_color, candidates))
     return out
 
 

@@ -33,6 +33,7 @@ def harness():
         from repro.crypto.keys import PairwiseKeyScheme
 
         node.keys = PairwiseKeyScheme(topology.node_count)
+        node.start_round()
         return node
 
     network = Network(topology, factory, seed=0)

@@ -3,15 +3,16 @@
 Before the planner took its randomness as bounded-integer draws, each
 node's plan made one ``Generator.choice(n, k, replace=False)`` call per
 colour and one scalar ``Generator.integers`` call per cut component
-(32-bit chunks for windows wider than 62 bits).  :func:`legacy_plan_slices`
-is that planner and :func:`legacy_plan_round` plans a round node by node
-with it, so a test can diff the one-draw planner against it: the plans,
-the nodes that sit out, and the state the generator is left in.
+(32-bit chunks for windows wider than 62 bits), colour by colour in
+palette order.  :func:`legacy_plan_slices` is that planner and
+:func:`legacy_plan_round` plans a round node by node with it, so a test
+can diff the one-draw planner against it: the plans, the nodes that sit
+out, and the state the generator is left in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -69,30 +70,27 @@ def legacy_plan_slices(
     value: int,
     *,
     own_color: Optional[TreeColor],
-    red_candidates: Sequence[int],
-    blue_candidates: Sequence[int],
+    candidates: Mapping[TreeColor, Sequence[int]],
     pieces: int,
     rng: np.random.Generator,
     magnitude: int = 1_000_000,
 ) -> Dict[TreeColor, SlicePlan]:
-    """Both colour plans of one node, drawing colour by colour."""
+    """One plan per palette colour of one node, drawing colour by colour."""
     plans: Dict[TreeColor, SlicePlan] = {}
-    for color, candidates in (
-        (TreeColor.RED, list(red_candidates)),
-        (TreeColor.BLUE, list(blue_candidates)),
-    ):
-        if node_id in candidates:
+    for color, options in candidates.items():
+        options = list(options)
+        if node_id in options:
             raise ProtocolError(
                 f"candidate list for {color.value} must exclude node {node_id}"
             )
         includes_self = own_color is color
         remote_needed = pieces - 1 if includes_self else pieces
-        if len(candidates) < remote_needed:
+        if len(options) < remote_needed:
             raise ProtocolError(
-                f"node {node_id} has only {len(candidates)} {color.value} "
+                f"node {node_id} has only {len(options)} {color.value} "
                 f"aggregator(s) in range but needs {remote_needed}"
             )
-        chosen = legacy_choose(candidates, remote_needed, rng)
+        chosen = legacy_choose(options, remote_needed, rng)
         cut = legacy_slice_value(value, pieces, rng, magnitude=magnitude)
         if includes_self:
             kept: Optional[int] = cut[0]
@@ -113,15 +111,14 @@ def legacy_plan_round(
 ) -> List[Optional[Dict[TreeColor, SlicePlan]]]:
     """:func:`repro.core.slicing.plan_round`, one node at a time."""
     plans: List[Optional[Dict[TreeColor, SlicePlan]]] = []
-    for node_id, value, own_color, red, blue in requests:
+    for node_id, value, own_color, candidates in requests:
         try:
             plans.append(
                 legacy_plan_slices(
                     node_id,
                     value,
                     own_color=own_color,
-                    red_candidates=red,
-                    blue_candidates=blue,
+                    candidates=candidates,
                     pieces=pieces,
                     rng=rng,
                     magnitude=magnitude,
