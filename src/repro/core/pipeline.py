@@ -29,7 +29,7 @@ from ..sim.messages import TreeColor
 from ..sim.rng import RngStreams
 from .config import IpdaConfig
 from .integrity import verify_round
-from .slicing import SliceAssembler, plan_round
+from .slicing import SlicePlan, plan_round
 from .trees import DisjointTrees, build_disjoint_trees
 
 __all__ = [
@@ -46,8 +46,9 @@ class NodeFlows:
 
     ``outgoing`` maps each colour to the list of ``(target, piece)``
     transmissions of that cut; ``kept`` is the locally retained piece
-    (None for leaf nodes); ``incoming`` lists ``(sender, piece)`` slices
-    this node received as an aggregator.
+    (None for leaf nodes) and ``kept_color`` the colour of the cut it
+    belongs to; ``incoming`` lists ``(sender, piece)`` slices this node
+    received as an aggregator.
     """
 
     node_id: int
@@ -57,26 +58,15 @@ class NodeFlows:
     )
     kept: Optional[int] = None
     incoming: List[Tuple[int, int]] = field(default_factory=list)
+    kept_color: Optional[TreeColor] = None
 
     def kept_cut_color(self) -> Optional[TreeColor]:
-        """Which cut retained a local piece (None for leaf senders).
-
-        The self-including cut transmits one piece fewer than the other,
-        so it is identifiable by length.
-        """
-        if self.kept is None:
-            return None
-        red = len(self.outgoing.get(TreeColor.RED, []))
-        blue = len(self.outgoing.get(TreeColor.BLUE, []))
-        if red < blue:
-            return TreeColor.RED
-        if blue < red:
-            return TreeColor.BLUE
-        return None
+        """Which cut retained a local piece (None for leaf senders)."""
+        return self.kept_color
 
     def cut_is_complete(self, color: TreeColor) -> bool:
         """True when every piece of the ``color`` cut went on the air."""
-        return self.kept_cut_color() is not color or self.kept is None
+        return self.kept_color is not color
 
 
 class LosslessRound:
@@ -172,125 +162,91 @@ def run_lossless_round(
             topology, cfg, generator, base_station=base_station
         )
     magnitude = cfg.effective_magnitude(readings.values())
+    pieces = cfg.slices
+    red, blue = TreeColor.RED, TreeColor.BLUE
 
-    assemblers: Dict[int, Dict[TreeColor, SliceAssembler]] = {
-        base_station: {
-            TreeColor.RED: SliceAssembler(base_station),
-            TreeColor.BLUE: SliceAssembler(base_station),
-        }
-    }
-    for color in (TreeColor.RED, TreeColor.BLUE):
-        for aggregator in trees.aggregators(color):
-            assemblers[aggregator] = {color: SliceAssembler(aggregator)}
-
+    # What a sensor heard of a colour is its neighbours among that
+    # colour's delivered announcers; its candidates are the ones it
+    # shares a key with.
+    graph = trees.topology
+    sharing = (
+        key_scheme.key_sharing_neighbors(graph)
+        if key_scheme is not None
+        else None
+    )
+    red_senders = trees.delivered.get(red, frozenset())
+    blue_senders = trees.delivered.get(blue, frozenset())
     dead: Set[int] = set(crashed) if crashed else set()
-    participants: Set[int] = set()
-    slice_transmissions = 0
-    flows: Optional[Dict[int, NodeFlows]] = {} if record_flows else None
     requests = []
     for node_id in sorted(readings):
         if contributors is not None and node_id not in contributors:
             continue
         if node_id in dead:
             continue  # fail-stopped before it could slice
-        heard = trees.heard.get(node_id, {})
-        candidates = {
-            color: [
-                a
-                for a in heard.get(color, ())
-                if a != node_id
-                and (
-                    key_scheme is None
-                    or key_scheme.can_communicate(node_id, a)
-                )
-            ]
-            for color in (TreeColor.RED, TreeColor.BLUE)
-        }
+        if not 0 <= node_id < graph.node_count:
+            continue  # not deployed: heard nothing
+        own_color = trees.role_of(node_id).color
+        nbrs = graph.neighbors(node_id) if sharing is None else sharing[node_id]
+        red_candidates = red_senders & nbrs
+        if len(red_candidates) < (pieces - 1 if own_color is red else pieces):
+            continue  # short of red: sits out before its first draw
         requests.append(
             (
                 node_id,
                 int(readings[node_id]),
-                trees.role_of(node_id).color,
-                candidates,
+                own_color,
+                {red: red_candidates, blue: blue_senders & nbrs},
             )
         )
     # One generator call draws the whole round's Phase II, in node order.
     round_plans = plan_round(
-        requests, pieces=cfg.slices, magnitude=magnitude, rng=generator
+        requests, pieces=pieces, magnitude=magnitude, rng=generator
     )
+
+    # A crashed aggregator's assembled share, and every piece in it,
+    # dies with it; the base station always reports.
+    lost = dead - {base_station}
+    totals = {red: 0, blue: 0}
+    pieces_in = {red: 0, blue: 0}
+    participants: Set[int] = set()
+    slice_transmissions = 0
+    flows: Optional[Dict[int, NodeFlows]] = {} if record_flows else None
     for request, plans in zip(requests, round_plans):
-        node_id = request[0]
         if plans is None:
             continue  # factor (b): not enough aggregators in range
+        node_id = request[0]
         participants.add(node_id)
-        node_flow = (
-            NodeFlows(node_id=node_id, reading=int(readings[node_id]))
-            if flows is not None
-            else None
-        )
         for color, plan in plans.items():
             if plan.kept is not None:
-                assemblers[node_id][color].keep(plan.kept)
-                if node_flow is not None:
-                    node_flow.kept = plan.kept
+                totals[color] += plan.kept
+                pieces_in[color] += 1
             for target, piece in plan.outgoing:
-                assemblers[target][color].receive(node_id, piece)
-                slice_transmissions += 1
-                if flows is not None:
-                    assert node_flow is not None
-                    node_flow.outgoing.setdefault(color, []).append(
-                        (target, piece)
-                    )
-                    target_flow = flows.get(target)
-                    if target_flow is None:
-                        target_flow = NodeFlows(
-                            node_id=target,
-                            reading=int(readings.get(target, 0)),
-                        )
-                        flows[target] = target_flow
-                    target_flow.incoming.append((node_id, piece))
+                if target not in lost:
+                    totals[color] += piece
+                    pieces_in[color] += 1
+            slice_transmissions += len(plan.outgoing)
         if flows is not None:
-            assert node_flow is not None
-            existing = flows.get(node_id)
-            if existing is not None:
-                # Preserve incoming slices recorded before this node
-                # took its turn as a sender.
-                node_flow.incoming.extend(existing.incoming)
-            flows[node_id] = node_flow
+            _record_flows(flows, node_id, readings, plans)
 
-    totals: Dict[TreeColor, int] = {}
-    pieces: Dict[TreeColor, int] = {}
-    pollution = dict(polluters) if polluters else {}
-    for color in (TreeColor.RED, TreeColor.BLUE):
-        total = assemblers[base_station][color].assembled_value()
-        count = assemblers[base_station][color].piece_count
-        for aggregator in trees.aggregators(color):
-            if aggregator in dead:
-                continue  # its assembled share (and pieces) died with it
-            total += assemblers[aggregator][color].assembled_value()
-            count += assemblers[aggregator][color].piece_count
-        # Any aggregator's additive tampering lands in its own tree's sum.
-        for polluter, offset in pollution.items():
-            if polluter in dead:
-                continue
-            if trees.role_of(polluter).color is color:
-                total += int(offset)
-        totals[color] = total
-        pieces[color] = count
+    # Any aggregator's additive tampering lands in its own tree's sum.
+    for polluter, offset in (polluters or {}).items():
+        color = trees.role_of(polluter).color
+        if polluter not in dead and color in totals:
+            totals[color] += int(offset)
 
     verification = verify_round(
         cfg,
         magnitude,
-        totals[TreeColor.RED],
-        totals[TreeColor.BLUE],
-        pieces[TreeColor.RED],
-        pieces[TreeColor.BLUE],
+        totals[red],
+        totals[blue],
+        pieces_in[red],
+        pieces_in[blue],
         len(participants),
     )
     return LosslessRound(
         trees=trees,
-        s_red=totals[TreeColor.RED],
-        s_blue=totals[TreeColor.BLUE],
+        s_red=totals[red],
+        s_blue=totals[blue],
         verification=verification,
         participants=participants,
         true_total=sum(int(v) for v in readings.values()),
@@ -298,6 +254,34 @@ def run_lossless_round(
         slice_transmissions=slice_transmissions,
         flows=flows,
     )
+
+
+def _record_flows(
+    flows: Dict[int, NodeFlows],
+    node_id: int,
+    readings: Mapping[int, int],
+    plans: Mapping[TreeColor, SlicePlan],
+) -> None:
+    """Add one participant's slices to ``flows``, in transmission order."""
+    node_flow = NodeFlows(node_id=node_id, reading=int(readings[node_id]))
+    for color, plan in plans.items():
+        if plan.kept is not None:
+            node_flow.kept = plan.kept
+            node_flow.kept_color = color
+        if plan.outgoing:
+            node_flow.outgoing[color] = list(plan.outgoing)
+        for target, piece in plan.outgoing:
+            target_flow = flows.get(target)
+            if target_flow is None:
+                target_flow = flows[target] = NodeFlows(
+                    node_id=target, reading=int(readings.get(target, 0))
+                )
+            target_flow.incoming.append((node_id, piece))
+    existing = flows.get(node_id)
+    if existing is not None:
+        # Keep the slices this node received before its own turn.
+        node_flow.incoming.extend(existing.incoming)
+    flows[node_id] = node_flow
 
 
 def aggregate_statistic(

@@ -227,23 +227,29 @@ def plan_slices(
     at the first colour short of candidates: a node short of red draws
     nothing.  ``integers`` is the only method called on ``rng``.
     """
-    lows, highs, short = _bounds(node_id, own_color, candidates, pieces, magnitude)
-    drawn = rng.integers(lows, highs).tolist() if lows else []
-    if short is not None:
-        raise ProtocolError(
-            f"node {node_id} has only {len(candidates[short])} {short.value} "
-            f"aggregator(s) in range but needs "
-            f"{pieces - 1 if own_color is short else pieces}"
+    if isinstance(rng, _Drawn):
+        # plan_round has bounded and drawn this node's values already.
+        drawn = rng
+    else:
+        lows, highs, short = _bounds(
+            node_id, own_color, candidates, pieces, magnitude
         )
+        drawn = _Drawn(rng.integers(lows, highs).tolist() if lows else [])
+        if short is not None:
+            raise ProtocolError(
+                f"node {node_id} has only {len(candidates[short])} "
+                f"{short.value} aggregator(s) in range but needs "
+                f"{pieces - 1 if own_color is short else pieces}"
+            )
     plans: Dict[TreeColor, SlicePlan] = {}
-    at = 0
+    values, at = drawn.values, drawn.at
     for color, options in candidates.items():
         ordered = sorted(options)
         includes_self = own_color is color
         picks, at = _replay_choice(
-            len(ordered), pieces - 1 if includes_self else pieces, drawn, at
+            len(ordered), pieces - 1 if includes_self else pieces, values, at
         )
-        cut, at = _replay_cut(value, pieces, magnitude, drawn, at)
+        cut, at = _replay_cut(value, pieces, magnitude, values, at)
         chosen = [ordered[pick] for pick in picks]
         if includes_self:
             kept: Optional[int] = cut[0]
@@ -252,6 +258,7 @@ def plan_slices(
             kept = None
             outgoing = list(zip(chosen, cut))
         plans[color] = SlicePlan(color=color, kept=kept, outgoing=outgoing)
+    drawn.at = at
     return plans
 
 
@@ -301,24 +308,18 @@ def _draw_bounds(
 
 
 class _Drawn:
-    """A round's values from one ``integers`` call, handed out in order.
+    """Drawn values and the index of the first one not yet replayed.
 
-    Stands in for the generator inside :func:`plan_slices`: its
-    ``integers(lows, highs)`` returns the next ``len(lows)`` values.
+    :func:`plan_round` hands one to :func:`plan_slices` in place of the
+    generator: its values are the whole round's, taken in one call, so
+    each node replays from ``at`` without bounding its draws again.
     """
 
-    __slots__ = ("_values", "_at")
+    __slots__ = ("values", "at")
 
-    def __init__(self, values: np.ndarray):
-        self._values = values
-        self._at = 0
-
-    def integers(
-        self, lows: Sequence[int], highs: Sequence[int]
-    ) -> np.ndarray:
-        start = self._at
-        self._at = stop = start + len(lows)
-        return self._values[start:stop]
+    def __init__(self, values: List[int]):
+        self.values = values
+        self.at = 0
 
 
 #: ``(node_id, value, own_color, candidates)``, as :func:`plan_slices`
@@ -341,38 +342,44 @@ def plan_round(
     per node, ``candidates`` mapping each palette colour to its list.
     The plans, and the state ``rng`` is left in, are those of calling
     :func:`plan_slices` on ``rng`` for each request in order.  Returns
-    each node's plans, or None where it sits out.
+    each node's plans, or None where it sits out.  Each node's draws
+    are bounded once, from its candidate counts; a node short of some
+    colour takes the draws of the colours before it and never enters
+    :func:`plan_slices`.
     """
     lows: List[int] = []
     highs: List[int] = []
+    #: per request: None if it takes part, else the draws it skips
+    skips: List[Optional[int]] = []
     for node_id, _value, own_color, candidates in requests:
         try:
-            node_lows, node_highs, _short = _bounds(
+            node_lows, node_highs, short = _bounds(
                 node_id, own_color, candidates, pieces, magnitude
             )
         except ProtocolError:
-            continue  # plan_slices rejects it before drawing
+            skips.append(0)  # plan_slices rejects it before drawing
+            continue
         lows += node_lows
         highs += node_highs
-    drawn = _Drawn(
-        rng.integers(lows, highs) if lows else np.empty(0, dtype=np.int64)
-    )
+        skips.append(None if short is None else len(node_lows))
+    drawn = _Drawn(rng.integers(lows, highs).tolist() if lows else [])
     plans: List[Optional[Dict[TreeColor, SlicePlan]]] = []
-    for node_id, value, own_color, candidates in requests:
-        try:
-            plans.append(
-                plan_slices(
-                    node_id,
-                    value,
-                    own_color=own_color,
-                    candidates=candidates,
-                    pieces=pieces,
-                    rng=drawn,
-                    magnitude=magnitude,
-                )
-            )
-        except ProtocolError:
+    for (node_id, value, own_color, candidates), skip in zip(requests, skips):
+        if skip is not None:
+            drawn.at += skip
             plans.append(None)  # factor (b): not enough aggregators in range
+            continue
+        plans.append(
+            plan_slices(
+                node_id,
+                value,
+                own_color=own_color,
+                candidates=candidates,
+                pieces=pieces,
+                rng=drawn,
+                magnitude=magnitude,
+            )
+        )
     return plans
 
 

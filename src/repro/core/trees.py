@@ -80,6 +80,15 @@ def role_probabilities(
     return p_red, p_blue
 
 
+def _two_color_pick(draw: float, p_red: float, p_blue: float) -> Optional[int]:
+    """Palette index a draw on [0, 1) picks under ``p_r``/``p_b`` (None: leaf)."""
+    if draw < p_red:
+        return 0
+    if draw < p_red + p_blue:
+        return 1
+    return None
+
+
 def elect_color(
     heard: Mapping[TreeColor, Sized],
     *,
@@ -102,12 +111,12 @@ def elect_color(
     p_red, p_blue = role_probabilities(
         len(heard[red]), len(heard[blue]), mode=mode, budget=budget
     )
-    draw = float(rng.random())
-    if draw < p_red:
-        return red
-    if draw < p_red + p_blue:
-        return blue
-    return None
+    pick = _two_color_pick(float(rng.random()), p_red, p_blue)
+    return None if pick is None else (red, blue)[pick]
+
+
+#: The role of every node that decided to stay a leaf.
+_LEAF = NodeRole(color=None)
 
 
 @dataclass
@@ -117,31 +126,47 @@ class DisjointTrees:
     The base station belongs to every tree (it is the root of each);
     every other node has exactly one role.  ``colors`` is the palette
     the trees were built over.
+
+    What each node heard is not stored: a HELLO reaches every neighbour
+    of its sender, so the senders of ``color`` that node ``v`` heard
+    are ``N(v) ∩ delivered[color]``.  :attr:`heard`,
+    :meth:`heard_aggregators` and the coverage queries derive it.
     """
 
     topology: Topology
     base_station: int
     roles: Dict[int, NodeRole] = field(default_factory=dict)
-    #: HELLO senders each node heard, per colour (aggregator ids).
-    heard: Dict[int, Dict[TreeColor, FrozenSet[int]]] = field(default_factory=dict)
     colors: Tuple[TreeColor, ...] = TreeColor.palette(2)
+    #: Per palette colour, the announcers whose HELLO of that colour
+    #: was delivered: that colour's aggregators and the base station,
+    #: less any whose HELLO a ``max_rounds`` cut-off left unsent.
+    delivered: Dict[TreeColor, FrozenSet[int]] = field(default_factory=dict)
+    _members: Dict[TreeColor, FrozenSet[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _check_color(self, color: TreeColor) -> None:
+        if color not in self.colors:
+            raise ProtocolError(f"{color!r} is not in the palette {self.colors}")
 
     # ------------------------------------------------------------------
     # Membership queries
     # ------------------------------------------------------------------
     def role_of(self, node_id: int) -> NodeRole:
         """Role of ``node_id`` (leaf-with-no-colour if it never decided)."""
-        return self.roles.get(node_id, NodeRole(color=None))
+        return self.roles.get(node_id, _LEAF)
 
-    def aggregators(self, color: TreeColor) -> Set[int]:
+    def aggregators(self, color: TreeColor) -> FrozenSet[int]:
         """All aggregators of one colour, **excluding** the base station."""
-        if color not in self.colors:
-            raise ProtocolError(f"{color!r} is not in the palette {self.colors}")
-        return {
-            node_id
-            for node_id, role in self.roles.items()
-            if role.color is color and node_id != self.base_station
-        }
+        members = self._members.get(color)
+        if members is None:
+            self._check_color(color)
+            members = self._members[color] = frozenset(
+                node_id
+                for node_id, role in self.roles.items()
+                if role.color is color and node_id != self.base_station
+            )
+        return members
 
     def heard_aggregators(self, node_id: int, color: TreeColor) -> FrozenSet[int]:
         """Aggregators of ``color`` whose HELLO ``node_id`` heard.
@@ -149,10 +174,22 @@ class DisjointTrees:
         Includes the base station when it is in range (it announces as
         every colour).
         """
-        if color not in self.colors:
-            raise ProtocolError(f"{color!r} is not in the palette {self.colors}")
-        by_color = self.heard.get(node_id)
-        return frozenset() if by_color is None else by_color[color]
+        self._check_color(color)
+        if not 0 <= node_id < self.topology.node_count:
+            return frozenset()
+        senders = self.delivered.get(color, frozenset())
+        return senders & self.topology.neighbors(node_id)
+
+    @property
+    def heard(self) -> Dict[int, Dict[TreeColor, FrozenSet[int]]]:
+        """HELLO senders each node heard, per colour (built on each read)."""
+        return {
+            node_id: {
+                color: self.heard_aggregators(node_id, color)
+                for color in self.colors
+            }
+            for node_id in range(self.topology.node_count)
+        }
 
     # ------------------------------------------------------------------
     # Coverage / participation (Figure 8 metrics)
@@ -161,8 +198,9 @@ class DisjointTrees:
         """Heard at least one aggregator of every colour (factor (a))."""
         if node_id == self.base_station:
             return True
-        by_color = self.heard.get(node_id)
-        return by_color is not None and all(by_color.values())
+        return all(
+            self.heard_aggregators(node_id, color) for color in self.colors
+        )
 
     def covered_nodes(self) -> Set[int]:
         """All covered nodes, base station included."""
@@ -183,7 +221,7 @@ class DisjointTrees:
             return True
         own_color = self.role_of(node_id).color
         return all(
-            len(self.heard_aggregators(node_id, color) - {node_id})
+            len(self.heard_aggregators(node_id, color))
             >= (slices - 1 if own_color is color else slices)
             for color in self.colors
         )
@@ -251,73 +289,92 @@ def build_disjoint_trees(
     """Run the logical Phase I process over the palette ``colors``.
 
     Deterministic given ``rng`` state: nodes decide in ascending id
-    order within each synchronous round.  Only nodes that heard a HELLO
-    this round are examined: an undecided node whose heard sets did not
-    grow would already have decided in an earlier round.
+    order within each synchronous round.  A node decides in the round
+    whose HELLOs complete its colours, and its choice depends only on
+    HELLOs delivered before it, so each round's deciding nodes take
+    their role draws in one call: ``rng.random(k)`` for FIXED and
+    ADAPTIVE, ``rng.integers([0] * k, [m] * k)`` for UNIFORM, which
+    leave the values and the generator state of ``k`` scalar
+    :func:`elect_color` draws.
     """
     n = topology.node_count
     if not 0 <= base_station < n:
         raise ProtocolError(f"base station id {base_station} out of range")
-    if config.role_mode is not RoleMode.UNIFORM and len(colors) != 2:
-        mode = config.role_mode.value
-        raise ConfigurationError(f"role mode {mode!r} needs two colours")
+    mode = config.role_mode
+    if mode is not RoleMode.UNIFORM and len(colors) != 2:
+        raise ConfigurationError(f"role mode {mode.value!r} needs two colours")
     limit = max_rounds if max_rounds is not None else n + 1
+    budget = config.aggregator_budget
+    m = len(colors)
 
-    heard: Dict[int, Dict[TreeColor, Set[int]]] = {
-        node_id: {color: set() for color in colors} for node_id in range(n)
-    }
+    # Per colour and node: HELLOs heard, and the shallowest (hops, id)
+    # sender among them, the parent the node takes if it joins.
+    heard_counts = [[0] * n for _ in colors]
+    best: List[List[Tuple[int, int]]] = [[(0, 0)] * n for _ in colors]
+    unheard = [m] * n  # colours a node has not heard yet
+    hops = [0] * n
     roles: Dict[int, NodeRole] = {}
-    hops: Dict[int, int] = {base_station: 0}
+    delivered: List[List[int]] = [[] for _ in colors]
 
     # The base station announces itself as an aggregator of every colour.
-    announcements: List[Tuple[int, TreeColor]] = [
-        (base_station, color) for color in colors
-    ]
-
+    wave: List[Tuple[int, int]] = [(base_station, index) for index in range(m)]
     for _round in range(limit):
-        if not announcements:
+        if not wave:
             break
-        # Deliver this round's HELLOs to every neighbour.
-        reached: Set[int] = set()
-        for sender, color in announcements:
-            nbrs = topology.neighbors(sender)
-            reached.update(nbrs)
-            for nbr in nbrs:
-                heard[nbr][color].add(sender)
-        announcements = []
-        # Nodes that now hear every colour (and are undecided) elect roles.
-        for node_id in sorted(reached):
-            if node_id == base_station or node_id in roles:
+        # Deliver this round's HELLOs to every neighbour; a node whose
+        # last missing colour arrives decides this round.
+        deciding: List[int] = []
+        for sender, index in wave:
+            key = (hops[sender], sender)
+            counts = heard_counts[index]
+            shallowest = best[index]
+            for nbr in topology.neighbors(sender):
+                if counts[nbr]:
+                    if key < shallowest[nbr]:
+                        shallowest[nbr] = key
+                else:
+                    shallowest[nbr] = key
+                    unheard[nbr] -= 1
+                    if not unheard[nbr] and nbr != base_station:
+                        deciding.append(nbr)
+                counts[nbr] += 1
+            delivered[index].append(sender)
+        wave = []
+        if not deciding:
+            continue
+        deciding.sort()
+        k = len(deciding)
+        if mode is RoleMode.UNIFORM:
+            picks = rng.integers([0] * k, [m] * k).tolist()
+        else:
+            red, blue = heard_counts
+            picks = [
+                _two_color_pick(
+                    draw,
+                    *role_probabilities(
+                        red[node_id], blue[node_id], mode=mode, budget=budget
+                    ),
+                )
+                for node_id, draw in zip(deciding, rng.random(k).tolist())
+            ]
+        for node_id, index in zip(deciding, picks):
+            if index is None:
+                roles[node_id] = _LEAF
                 continue
-            by_color = heard[node_id]
-            if not all(by_color.values()):
-                continue
-            color = elect_color(
-                by_color,
-                mode=config.role_mode,
-                budget=config.aggregator_budget,
-                rng=rng,
+            parent_hops, parent = best[index][node_id]
+            hops[node_id] = parent_hops + 1
+            roles[node_id] = NodeRole(
+                color=colors[index], parent=parent, hops=parent_hops + 1
             )
-            if color is None:
-                roles[node_id] = NodeRole(color=None)
-                continue
-            heard_own = by_color[color]
-            parent = min(heard_own, key=lambda a: (hops.get(a, 0), a))
-            node_hops = hops.get(parent, 0) + 1
-            roles[node_id] = NodeRole(color=color, parent=parent, hops=node_hops)
-            hops[node_id] = node_hops
-            announcements.append((node_id, color))
+            wave.append((node_id, index))
 
     return DisjointTrees(
         topology=topology,
         base_station=base_station,
         roles=roles,
-        heard={
-            node_id: {
-                color: frozenset(senders)
-                for color, senders in by_color.items()
-            }
-            for node_id, by_color in heard.items()
-        },
         colors=tuple(colors),
+        delivered={
+            color: frozenset(senders)
+            for color, senders in zip(colors, delivered)
+        },
     )

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import CryptoError, KeyNotFoundError
 from .cipher import KEY_BYTES
+
+if TYPE_CHECKING:
+    from ..net.topology import Topology
 
 __all__ = [
     "KeyManagementScheme",
@@ -41,6 +44,10 @@ def _derive_key(namespace: str, seed: int, *labels: object) -> bytes:
 class KeyManagementScheme(ABC):
     """Decides which symmetric key protects each link, and who holds it."""
 
+    #: ``(topology, version, sets)`` of the last
+    #: :meth:`key_sharing_neighbors` answer.
+    _sharing: Optional[Tuple["Topology", int, List[FrozenSet[int]]]] = None
+
     @abstractmethod
     def link_key(self, a: int, b: int) -> bytes:
         """Return the key protecting the (undirected) link ``a — b``.
@@ -61,6 +68,25 @@ class KeyManagementScheme(ABC):
         """True iff the pair shares a key; derives no key to find out."""
         lo, hi = self._normalize(a, b)
         return self._shares_key(lo, hi)
+
+    def key_sharing_neighbors(self, topology: "Topology") -> List[FrozenSet[int]]:
+        """Each node's neighbours it shares a key with, indexed by node id.
+
+        Asks :meth:`can_communicate` once per edge.  The answer is kept
+        for the last topology (and adjacency version) asked about, so
+        rounds that reuse a deployment and a scheme build it once.
+        """
+        memo = self._sharing
+        if memo is not None and memo[0] is topology and memo[1] == topology.version:
+            return memo[2]
+        shared: List[Set[int]] = [set() for _ in range(topology.node_count)]
+        for a, b in topology.edges():
+            if self.can_communicate(a, b):
+                shared[a].add(b)
+                shared[b].add(a)
+        sharing = [frozenset(nbrs) for nbrs in shared]
+        self._sharing = (topology, topology.version, sharing)
+        return sharing
 
     @abstractmethod
     def _shares_key(self, lo: int, hi: int) -> bool:

@@ -17,6 +17,14 @@ class ConfigurationError(ReproError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
+class TreeCountError(ConfigurationError, ValueError):
+    """A tree palette was asked for a number of colours it cannot give.
+
+    Also a :class:`ValueError`, which is what the palette raised before
+    it joined this hierarchy.
+    """
+
+
 class TopologyError(ReproError):
     """A deployment or graph construction request cannot be satisfied."""
 

@@ -86,6 +86,22 @@ def _csr_from_dict(
     return indptr, indices
 
 
+def _check_undirected(adjacency: Dict[int, FrozenSet[int]]) -> None:
+    """Reject a self-loop or a link listed in one direction only.
+
+    Radio links are symmetric: the disc model, :meth:`Topology.edges`
+    and what a node hears in Phase I all assume it.
+    """
+    for node, nbrs in adjacency.items():
+        if node in nbrs:
+            raise TopologyError(f"node {node} is listed as its own neighbour")
+        for nbr in nbrs:
+            if node not in adjacency.get(nbr, ()):
+                raise TopologyError(
+                    f"link {node} -> {nbr} is listed in one direction only"
+                )
+
+
 class Topology:
     """An immutable snapshot of a deployed sensor field.
 
@@ -100,6 +116,9 @@ class Topology:
         distance is at most this.
     adjacency:
         Neighbour sets indexed by node id (excluding the node itself).
+        Links are undirected: an explicit adjacency that lists a link in
+        one direction only, or a node as its own neighbour, raises
+        :class:`TopologyError`.
         Materialised lazily from the CSR arrays; once accessed it is
         kept (and an in-place edit followed by
         :meth:`invalidate_caches` makes it authoritative).
@@ -147,6 +166,10 @@ class Topology:
             # Explicit adjacency (regular graphs, tests): the dict is
             # authoritative from the start; CSR views derive from it.
             self._adj_dict = dict(adjacency)
+            _check_undirected(self._adj_dict)
+            for node in range(self._n):
+                # A node left out of the dict is isolated.
+                self._adj_dict.setdefault(node, frozenset())
             self._indptr, self._indices = _csr_from_dict(
                 self._adj_dict, self._n
             )

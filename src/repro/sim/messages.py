@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Optional, Tuple
 
+from ..errors import TreeCountError
+
 __all__ = [
     "TreeColor",
     "Message",
@@ -60,7 +62,7 @@ class TreeColor(str, Enum):
         """The first ``count`` colours, for m-tree deployments."""
         members = (cls.RED, cls.BLUE, cls.GREEN, cls.YELLOW)
         if not 2 <= count <= len(members):
-            raise ValueError(
+            raise TreeCountError(
                 f"tree count must be 2..{len(members)}, got {count}"
             )
         return members[:count]

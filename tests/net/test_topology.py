@@ -164,3 +164,58 @@ class TestTopologyQueries:
 
         with pytest.raises(TopologyError):
             Topology(positions=[Point(0, 0)], radio_range=0.0)
+
+
+class TestExplicitAdjacency:
+    @staticmethod
+    def _topology(adjacency):
+        import numpy as np
+
+        return Topology(
+            coords=np.zeros((len(adjacency), 2)),
+            radio_range=1.0,
+            adjacency=adjacency,
+        )
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            {0: {1}, 1: set()},
+            {0: set(), 1: {0}},
+            {0: {1, 2}, 1: {0}, 2: set()},
+            {0: {1}},  # node 1 has no entry at all
+        ],
+    )
+    def test_one_way_link_rejected(self, adjacency):
+        with pytest.raises(TopologyError, match="one direction"):
+            self._topology(adjacency)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(TopologyError, match="own neighbour"):
+            self._topology({0: {0, 1}, 1: {0}})
+
+    def test_symmetric_adjacency_accepted(self):
+        topo = self._topology(
+            {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1})}
+        )
+        assert topo.edges() == [(0, 1), (1, 2)]
+        assert topo.neighbors(1) == frozenset({0, 2})
+
+    def test_node_missing_from_the_dict_is_isolated(self):
+        import numpy as np
+
+        topo = Topology(
+            coords=np.zeros((3, 2)),
+            radio_range=1.0,
+            adjacency={0: frozenset({1}), 1: frozenset({0})},
+        )
+        assert topo.neighbors(2) == frozenset()
+        assert topo.edges() == [(0, 1)]
+
+    def test_regular_topology_is_undirected(self):
+        topo = regular_topology(30, 4, seed=3)
+        assert all(
+            node in topo.neighbors(nbr)
+            for node in range(30)
+            for nbr in topo.neighbors(node)
+        )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import IpdaConfig, RngStreams
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, ReproError
 from repro.net.topology import random_deployment
 from repro.protocols.mipda import MipdaProtocol
 from repro.sim.messages import TreeColor
@@ -36,6 +36,15 @@ class TestPalette:
             TreeColor.palette(1)
         with pytest.raises(ValueError):
             TreeColor.palette(5)
+
+    @pytest.mark.parametrize("tree_count", [1, 5])
+    def test_bad_tree_count_is_a_repro_error(self, tree_count):
+        with pytest.raises(ReproError) as caught:
+            MipdaProtocol(tree_count)
+        assert isinstance(caught.value, ConfigurationError)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(ReproError):
+            TreeColor.palette(tree_count)
 
     def test_other_undefined_for_extra_colors(self):
         with pytest.raises(ValueError):
