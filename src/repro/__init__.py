@@ -69,7 +69,7 @@ from .protocols import (
 )
 from .sim import Network, RadioConfig, RngStreams, TreeColor
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "__version__",

@@ -10,9 +10,13 @@ Two hashes identify a cached cell result:
   parameters were assembled;
 * the **code fingerprint** — a hash over the transitive source closure
   of the spec's module: the module defining ``run_cell`` plus every
-  :mod:`repro` module it (recursively) imports.  Editing any file in
-  that closure flips the fingerprint, so a code change invalidates
-  exactly the specs that depend on it and no others.
+  :mod:`repro` module it (recursively) imports, except
+  :mod:`repro.runner`.  The runner drives cells and no cell runs a
+  line of it; spec modules import it only inside their ``run()``
+  wrappers, and following that edge would pull every experiment
+  module, the fleet, the store and obs into every closure.  Editing
+  any file in the closure flips the fingerprint, so a code change
+  invalidates exactly the specs that depend on it and no others.
 
 The digest stored in the CAS folds the fingerprint in, so a cache entry
 can never be served across a code change.
@@ -44,8 +48,9 @@ __all__ = [
     "spec_fingerprint",
 ]
 
-#: Bump to invalidate every existing cache entry and manifest.
-DIGEST_VERSION = 1
+#: Bump to invalidate every existing cache entry and manifest.  2: the
+#: closure walk stops at :mod:`repro.runner`.
+DIGEST_VERSION = 2
 
 _DIGEST_SIZE = 20  # bytes; 40 hex chars
 
@@ -206,6 +211,12 @@ def _imported_modules(name: str, path: str, is_package: bool) -> Set[str]:
     return found
 
 
+#: Modules the closure walk never enters, nor any name under them
+#: (``from ..runner import execute`` also queues
+#: ``repro.runner.execute``, whose lookup would import the runner).
+_UNFOLLOWED = frozenset({"repro.runner"})
+
+
 def _followed_prefixes(root_module: str) -> Set[str]:
     """Top-level packages whose imports the closure walk follows.
 
@@ -217,8 +228,11 @@ def _followed_prefixes(root_module: str) -> Set[str]:
 
 
 def _in_followed(name: str, prefixes: Set[str]) -> bool:
-    top = name.split(".")[0]
-    return top in prefixes
+    if name.split(".")[0] not in prefixes:
+        return False
+    return not any(
+        name == stop or name.startswith(stop + ".") for stop in _UNFOLLOWED
+    )
 
 
 def fingerprint_modules(
@@ -229,9 +243,10 @@ def fingerprint_modules(
     Walks ``import``/``from`` statements (via :mod:`ast`, so imports
     inside functions count too) starting at ``root_module``, following
     only modules that belong to the followed packages (see
-    ``_followed_prefixes``).  ``fallback`` is a function whose source
-    file stands in when ``root_module`` itself cannot be located (e.g.
-    specs defined in ``__main__``).
+    ``_followed_prefixes``) and never entering ``_UNFOLLOWED``.
+    ``fallback`` is a function whose source file stands in when
+    ``root_module`` itself cannot be located (e.g. specs defined in
+    ``__main__``).
     """
     cached = _CLOSURES.get(root_module)
     if cached is not None:

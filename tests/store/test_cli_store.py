@@ -18,6 +18,8 @@ from repro.experiments import SPECS
 from repro.runner import available_experiments
 from repro.store import CellStore, manifest_path
 
+from .test_manifest import SCHEME_CHANGED, age_manifest
+
 
 def _run_fig7(tmp_path, *extra):
     args = ["fig7", "--fast", "--repetitions", "1"] + list(extra)
@@ -161,6 +163,19 @@ class TestManagementCommands:
         assert main(["store", "verify", str(csv_dir / "fig7.csv")]) == 1
         out = capsys.readouterr().out
         assert "NOT reproducible" in out
+
+    def test_store_verify_older_digest_scheme_exits_1(
+        self, tmp_path, capsys
+    ):
+        csv_dir = tmp_path / "out"
+        assert _run_fig7(tmp_path, "--csv", str(csv_dir)) == 0
+        age_manifest(str(csv_dir / "fig7.csv"))
+        capsys.readouterr()
+        assert main(["store", "verify", str(csv_dir / "fig7.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "NOT reproducible" in out
+        assert f"  - {SCHEME_CHANGED}\n" in out
+        assert "no longer imported" not in out
 
     def test_store_verify_missing_manifest_exits_2(self, tmp_path, capsys):
         artifact = tmp_path / "orphan.csv"

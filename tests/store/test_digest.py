@@ -196,9 +196,10 @@ class TestCodeFingerprint:
         assert code_fingerprint("fpdemo.spec") == before
 
     def test_report_kinds_stay_out_of_every_closure(self):
-        # The report envelope (repro.obs.report) is in every closure;
-        # it names the kind modules as strings, so their sources must
-        # never reach a cell digest.
+        # The report envelope (repro.obs.report) is in the closure of
+        # every spec that runs the radio, fig7's among them; it names
+        # the kind modules as strings, so their sources must never
+        # reach a cell digest.
         from repro.runner import available_experiments
 
         outside = {

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
 from repro.runner import execute, register_spec
 from repro.store import (
+    DIGEST_VERSION,
     clear_fingerprint_caches,
     manifest_path,
     read_manifest,
@@ -27,6 +28,31 @@ def _fresh_table(tmp_path, name="fig7", **kwargs):
     artifact = str(tmp_path / f"{name}.csv")
     table.write_csv(artifact)
     return artifact, table
+
+
+def age_manifest(artifact):
+    """Rewrite the sidecar as the previous digest scheme wrote it.
+
+    Before the closure walk stopped at the runner, every closure also
+    held ``repro.runner`` and what it imports, so the recorded modules
+    and fingerprint differ from what the current tree derives.
+    """
+    path = manifest_path(artifact)
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["digest_version"] = DIGEST_VERSION - 1
+    manifest["fingerprint"] = "0" * 40
+    for module in ("repro.runner", "repro.fleet", "repro.store.digest"):
+        manifest["modules"][module] = "0" * 40
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+#: what ``verify_artifact`` says about a sidecar of the previous scheme
+SCHEME_CHANGED = (
+    f"digest scheme changed (manifest v{DIGEST_VERSION - 1}, "
+    f"current v{DIGEST_VERSION}); regenerate the artifact"
+)
 
 
 class TestWriteManifest:
@@ -81,6 +107,14 @@ class TestVerify:
             handle.write("tampered\n")
         problems = verify_artifact(artifact)
         assert any("artifact bytes changed" in p for p in problems)
+
+    def test_older_digest_scheme_asks_for_regeneration(self, tmp_path):
+        # The scheme changed, so module drift would only mislead
+        # ("no longer imported: repro.runner, ...").
+        artifact, table = _fresh_table(tmp_path)
+        write_manifest(artifact, table)
+        age_manifest(artifact)
+        assert verify_artifact(artifact) == [SCHEME_CHANGED]
 
     def test_missing_manifest_is_configuration_error(self, tmp_path):
         artifact, _table = _fresh_table(tmp_path)
